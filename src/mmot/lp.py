@@ -1,46 +1,48 @@
 """Finite linear programming core for the multimarginal solver.
 
-The discrete coupling problem is an equality-form LP: one variable per
-N-tuple of support cells, one mass-balance row per (marginal, cell) pair.
-The rows are redundant (each marginal's rows sum to the same total), so
-for every marginal after the first the row of the last support cell is
-dropped; the dropped constraints are implied and their dual values are
-zero by convention.
+The discrete coupling problem is solved in its symmetric multiset form:
+one variable per multiset of N support cells (a sorted N-tuple), one
+mass-balance row per cell, sum_t count_j(t) x_t = N w_j.  The cost is
+permutation invariant, so symmetrizing any ordered coupling gives a
+multiset plan of the same cost, and a multiset plan spread over the
+cyclic shifts of its tuples gives back an ordered coupling with every
+slot marginal equal to w.  The dual is a single Kantorovich potential u
+with sum_i u(t_i) <= cost(t) and value N sum_j u_j w_j.
 
 The engine is a revised simplex with an explicit basis inverse, rank-one
 updates, periodic refactorization, and Bland's rule as a fallback once
 the objective stalls on degenerate pivots.  Entering columns come from a
 candidate queue refreshed by full deterministic scans (partial pricing);
-optimality is always confirmed by a full scan.  When the cost of the
-coincident tuple (j, ..., j) is finite, the diagonal coupling supplies a
-feasible starting basis and phase 1 is skipped; otherwise a two-phase
-start with artificial columns is used.  Artificial columns carry stable
+optimality is always confirmed by a full scan.  The coincident multiset
+(j, ..., j) has column N e_j, so wherever its cost is finite it hosts
+row j in a feasible starting basis; the other rows start on artificial
+columns and go through phase 1.  Artificial columns carry stable
 negative ids so the column pool can grow between re-optimizations
-without renumbering; a zero-level basic artificial on a row pins that
-row's dual to zero, which silently neutralizes any residual redundancy
-in a restricted pool.
+without renumbering.  In cell mode the coincident columns span every
+row; in pointwise mode a redundant row (N = m, say) keeps a zero-level
+artificial in the basis, which pins that row's dual to zero.
 
-Column generation prices every support tuple against the current duals
-in vectorized two-dimensional slabs and injects the first violators in
-enumeration order.  An empty pricing round is an unconditional
-optimality certificate because the scan is exhaustive, not sampled.
+Column generation prices every ordered support tuple against the
+current potential in vectorized two-dimensional slabs and injects the
+first violating multisets in enumeration order.  An empty pricing round
+is an unconditional optimality certificate because the scan is
+exhaustive, not sampled.
 
-The dual returned for the coupling problem is refined after optimality:
-among all dual solutions tight on the (permutation-closed) optimal
-support, the minimum-norm one is selected when it stays feasible, which
-makes the reported potentials independent of arbitrary pivot-order and
-dropped-row choices.
+The potential returned for the coupling problem is refined after
+optimality: among all potentials tight on the optimal multisets, the
+minimum-norm one is selected when it stays feasible, which makes the
+reported potential independent of the pivot order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product as iter_product
+from itertools import product as iter_product
 
 import numpy as np
 
-from .cost import CostModel
+from .cost import CostModel, tuple_costs
 from .errors import InsufficientSupport, NumericalBreakdown
 from .measure import DiscreteMeasure
 from .transport import (
@@ -61,8 +63,8 @@ _MAX_ITERS = 500_000
 _CANDIDATES = 1024
 _SCAN_CHUNK = 32_768
 
-# column pools beyond this size start from the diagonal coupling instead
-# of the full product support
+# multiset pools beyond this size start from the diagonal coupling instead
+# of every multiset of the support
 _POOL_CAP = 1_100_000
 _PRICE_BATCH = 50
 _MAX_ROUNDS = 2_000
@@ -177,75 +179,89 @@ class _DenseColumns:
         return None
 
 
-class _TupleColumns:
-    """Columns indexed by N-tuples of support-cell positions.
+def _pooled(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Mask of the codes present in the sorted code array."""
+    pos = np.searchsorted(sorted_codes, codes)
+    hit = pos < sorted_codes.size
+    hit[hit] = sorted_codes[pos[hit]] == codes[hit]
+    return hit
 
-    Stores the pool as an integer array and evaluates costs, reduced
-    costs, and row incidences by gathers instead of materializing the
-    constraint matrix.  Rows: marginal 0 keeps all m cells, marginals
-    1..N-1 drop their last cell.
+
+class _MultisetColumns:
+    """Columns indexed by multisets of N support-cell positions.
+
+    Each multiset is stored as a sorted row of an int64 array; its column
+    holds the multiplicity of every cell, and its cost is the pair sum
+    over the reciprocal matrix.  Pool membership is keyed by the
+    np.ravel_multi_index code of the sorted row, kept in a sorted array.
     """
 
-    def __init__(self, m: int, n_marginals: int, cost_eval, pool: np.ndarray):
-        self.m = m
+    def __init__(self, recip: np.ndarray, n_marginals: int, pool: np.ndarray):
+        """pool holds sorted rows, each once, in lexicographic order."""
+        self.m = recip.shape[0]
         self.n = n_marginals
-        self.cost_eval = cost_eval
-        self.nrows = m + (n_marginals - 1) * (m - 1)
-        self.pool = np.asarray(pool, dtype=np.int64).reshape(-1, n_marginals)
-        self.pool_index = {
-            tuple(int(v) for v in row): i for i, row in enumerate(self.pool)
-        }
-        self.costs = np.asarray(cost_eval(self.pool), dtype=float)
-        self._u = None
+        self.recip = recip
+        self.dims = (self.m,) * n_marginals
+        self.pool = np.empty((0, n_marginals), dtype=np.int64)
+        self.costs = np.empty(0)
+        self.sorted_codes = np.empty(0, dtype=np.int64)
+        self._y = None
+        self._append(pool)
 
-    def ncols(self) -> int:
-        return self.pool.shape[0]
+    def _append(self, rows: np.ndarray) -> int:
+        """Pool the finite-cost ones of rows, which are sorted multisets
+        not pooled yet; returns how many."""
+        costs = tuple_costs(self.recip, rows)
+        keep = np.isfinite(costs)
+        self.pool = np.concatenate([self.pool, rows[keep]])
+        self.costs = np.concatenate([self.costs, costs[keep]])
+        codes = np.ravel_multi_index(rows[keep].T, self.dims)
+        self.sorted_codes = np.concatenate([self.sorted_codes, codes])
+        return int(keep.sum())
 
-    def row_of(self, slot: int, cell_idx: int) -> int:
-        if slot == 0:
-            return cell_idx
-        if cell_idx == self.m - 1:
-            return -1
-        return self.m + (slot - 1) * (self.m - 1) + cell_idx
+    def add(self, block: np.ndarray) -> int:
+        """Pool the finite-cost multisets of block (tuples in any order)
+        that are not pooled yet, in code order; returns how many."""
+        block = np.sort(np.asarray(block, dtype=np.int64).reshape(-1, self.n), axis=1)
+        codes = np.unique(np.ravel_multi_index(block.T, self.dims))
+        codes = codes[~_pooled(self.sorted_codes, codes)]
+        added = self._append(np.stack(np.unravel_index(codes, self.dims), axis=1))
+        self.sorted_codes.sort()
+        return added
+
+    def diagonal_basis(self) -> list[int]:
+        """Starting basis: the coincident column (j, ..., j), which is N
+        times the unit vector of row j, wherever it is pooled, and the
+        artificial of row j elsewhere.  Both are feasible for b = N w."""
+        basis = [-(r + 1) for r in range(self.m)]
+        for j in np.flatnonzero((self.pool == self.pool[:, :1]).all(axis=1)):
+            basis[int(self.pool[j, 0])] = int(j)
+        return basis
 
     def column(self, j: int) -> np.ndarray:
-        col = np.zeros(self.nrows)
-        for slot, idx in enumerate(self.pool[j]):
-            r = self.row_of(slot, int(idx))
-            if r >= 0:
-                col[r] += 1.0
-        return col
+        return np.bincount(self.pool[j], minlength=self.m).astype(float)
 
     def cost(self, j: int) -> float:
         return float(self.costs[j])
 
     def max_abs_cost(self) -> float:
-        finite = self.costs[np.isfinite(self.costs)]
-        return float(np.max(np.abs(finite))) if finite.size else 0.0
+        return float(np.max(np.abs(self.costs))) if self.costs.size else 0.0
 
-    def _u_matrix(self, y: np.ndarray) -> np.ndarray:
-        u = np.zeros((self.n, self.m))
-        u[0] = y[: self.m]
+    def _used(self, y: np.ndarray, pool: np.ndarray) -> np.ndarray:
+        used = y.take(pool[:, 0])
         for i in range(1, self.n):
-            lo = self.m + (i - 1) * (self.m - 1)
-            u[i, : self.m - 1] = y[lo : lo + self.m - 1]
-        return u
-
-    def _gather(self, u: np.ndarray, pool: np.ndarray) -> np.ndarray:
-        used = u[0].take(pool[:, 0])
-        for i in range(1, self.n):
-            used += u[i].take(pool[:, i])
+            used += y.take(pool[:, i])
         return used
 
     def begin_iteration(self, y: np.ndarray) -> None:
-        self._u = self._u_matrix(y)
+        self._y = y
 
     def _reduced_slice(self, phase: int, lo: int, hi: int) -> np.ndarray:
-        used = self._gather(self._u, self.pool[lo:hi])
+        used = self._used(self._y, self.pool[lo:hi])
         return self.costs[lo:hi] - used if phase == 2 else -used
 
     def reduced_for(self, phase: int, ids: np.ndarray) -> np.ndarray:
-        used = self._gather(self._u, self.pool[ids])
+        used = self._used(self._y, self.pool[ids])
         return self.costs[ids] - used if phase == 2 else -used
 
     def full_scan(self, phase, tol, topk, exclude) -> np.ndarray:
@@ -269,105 +285,65 @@ class _TupleColumns:
         return None
 
     def first_nonzero(self, w: np.ndarray, tol: float, exclude: set[int]):
-        vals = self._gather(self._u_matrix(w), self.pool)
+        vals = self._used(w, self.pool)
         for j in np.flatnonzero(np.abs(vals) > tol):
             if int(j) not in exclude:
                 return int(j)
         return None
 
-    def add_tuples(self, tuples) -> int:
-        fresh = [t for t in tuples if t not in self.pool_index]
-        if not fresh:
-            return 0
-        base = self.pool.shape[0]
-        block = np.array(fresh, dtype=np.int64).reshape(-1, self.n)
-        self.pool = np.concatenate([self.pool, block], axis=0)
-        self.costs = np.concatenate([self.costs, np.asarray(self.cost_eval(block), dtype=float)])
-        for i, t in enumerate(fresh):
-            self.pool_index[t] = base + i
-        return len(fresh)
 
-
-class _PairCost:
-    """Tuple cost as a sum of reciprocal pair interactions."""
-
-    def __init__(self, recip: np.ndarray, n_marginals: int):
-        self.recip = recip
-        self.n = n_marginals
-
-    def __call__(self, pool: np.ndarray) -> np.ndarray:
-        total = np.zeros(pool.shape[0])
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                total += self.recip[pool[:, i], pool[:, j]]
-        return total
-
-    def slab(self, prefix: tuple[int, ...]) -> np.ndarray:
-        m = self.recip.shape[0]
-        const = 0.0
-        vec = np.zeros(m)
-        for a in range(len(prefix)):
-            vec += self.recip[prefix[a], :]
-            for b in range(a + 1, len(prefix)):
-                const += self.recip[prefix[a], prefix[b]]
-        return const + vec[:, None] + vec[None, :] + self.recip
-
-    def max_finite(self) -> float:
-        finite = self.recip[np.isfinite(self.recip)]
-        peak = float(finite.max()) if finite.size else 0.0
-        return peak * self.n * (self.n - 1) / 2.0
-
-
-class _TensorCost:
-    """Tuple cost read off a dense N-way tensor."""
-
-    def __init__(self, tensor: np.ndarray):
-        self.tensor = tensor
-        self.n = tensor.ndim
-
-    def __call__(self, pool: np.ndarray) -> np.ndarray:
-        return self.tensor[tuple(pool[:, i] for i in range(self.n))].astype(float)
-
-    def slab(self, prefix: tuple[int, ...]) -> np.ndarray:
-        return self.tensor[prefix]
-
-    def max_finite(self) -> float:
-        finite = self.tensor[np.isfinite(self.tensor)]
-        return float(np.max(np.abs(finite))) if finite.size else 0.0
+def _cost_scale(recip: np.ndarray, n_marginals: int) -> float:
+    """1 + the largest finite tuple cost the pair matrix allows; scales
+    the pricing and refinement tolerances."""
+    finite = recip[np.isfinite(recip)]
+    peak = float(finite.max()) if finite.size else 0.0
+    return 1.0 + peak * n_marginals * (n_marginals - 1) / 2.0
 
 
 def price_columns(
-    u_mat: np.ndarray,
-    cost_eval,
+    u: np.ndarray,
+    recip: np.ndarray,
+    n_marginals: int,
     *,
     tol: float,
-    skip=None,
+    skip: np.ndarray,
     batch: int = _PRICE_BATCH,
-) -> list[tuple[int, ...]]:
-    """Exhaustively scan all m^N tuples for dual violations.
+) -> np.ndarray:
+    """Exhaustively scan all m^N ordered tuples for dual violations.
 
-    Returns the first tuples in enumeration (lexicographic) order, at
-    most batch of them, whose dual sum exceeds the cost by more than tol,
-    excluding those in skip.  An empty return certifies dual feasibility
-    over the whole tuple space, since every slab is inspected.
+    A tuple violates when the sum of the potential u over its slots
+    exceeds its pair-sum cost by more than tol.  Returns the sorted rows
+    of the first violating multisets in enumeration (lexicographic)
+    order, at most batch of them, each once, leaving out those whose
+    code is in the sorted array skip.  An empty return certifies dual
+    feasibility over the whole tuple space, since every slab is
+    inspected.
     """
-    n, m = u_mat.shape
-    skip = skip if skip is not None else set()
-    found: list[tuple[int, ...]] = []
-    tail = u_mat[n - 2][:, None] + u_mat[n - 1][None, :]
+    n, m = n_marginals, u.size
+    dims = (m,) * n
+    found: dict[int, np.ndarray] = {}
+    tail = u[:, None] + u[None, :]
     for prefix in iter_product(range(m), repeat=n - 2):
-        u_pre = 0.0
+        const = u_pre = 0.0
+        vec = np.zeros(m)
         for a, pa in enumerate(prefix):
-            u_pre += u_mat[a, pa]
-        excess = (u_pre + tail) - cost_eval.slab(prefix)
+            vec += recip[pa]
+            u_pre += u[pa]
+            for pb in prefix[a + 1 :]:
+                const += recip[pa, pb]
+        excess = (u_pre - const) + tail - (vec[:, None] + vec[None, :] + recip)
         hits = np.argwhere(excess > tol)
-        for i, j in hits:
-            t = prefix + (int(i), int(j))
-            if t not in skip:
-                found.append(t)
-                if len(found) >= batch:
-                    return found
-    return found
+        if hits.size == 0:
+            continue
+        head = np.broadcast_to(np.array(prefix, dtype=np.int64), (hits.shape[0], n - 2))
+        keys = np.sort(np.concatenate([head, hits], axis=1), axis=1)
+        codes = np.ravel_multi_index(keys.T, dims)
+        fresh = ~_pooled(skip, codes)
+        for code, key in zip(codes[fresh].tolist(), keys[fresh]):
+            found.setdefault(code, key)
+            if len(found) >= batch:
+                return np.array(list(found.values()))
+    return np.array(list(found.values()), dtype=np.int64).reshape(-1, n)
 
 
 class _Unbounded(Exception):
@@ -634,33 +610,30 @@ def solve_lp(lp: StandardLP, *, feas_tol: float = _FEAS_TOL) -> LPSolution:
     return LPSolution(status, primal, dual, obj, cert)
 
 
-def _initial_pool(m: int, n: int, injective: bool, cap: int) -> list[tuple[int, ...]]:
-    if m**n <= cap:
-        pool = list(iter_product(range(m), repeat=n))
-        if injective:
-            pool = [t for t in pool if len(set(t)) == n]
-        return pool
+def _multisets(m: int, n: int, distinct: bool) -> np.ndarray:
+    """All sorted n-tuples over range(m), in lexicographic order, as the
+    rows of an int64 array: combinations_with_replacement(range(m), n),
+    or combinations(range(m), n) when distinct."""
+    rows = np.arange(m, dtype=np.int64)[:, None]
+    for _ in range(n - 1):
+        start = rows[:, -1] + (1 if distinct else 0)
+        counts = np.maximum(m - start, 0)
+        offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        nxt = np.repeat(start, counts) + offset
+        rows = np.concatenate([np.repeat(rows, counts, axis=0), nxt[:, None]], axis=1)
+    return rows
+
+
+def _initial_pool(m: int, n: int, injective: bool, cap: int) -> np.ndarray:
+    count = math.comb(m, n) if injective else math.comb(m + n - 1, n)
+    if count <= cap:
+        return _multisets(m, n, injective)
     if injective:
         raise InsufficientSupport(
-            f"pointwise mode enumerates all {m}^{n} support tuples, which "
-            f"exceeds the cap {cap}; coarsen the grid or use cell mode"
+            f"pointwise mode enumerates all {count} support multisets of size "
+            f"{n}, which exceeds the cap {cap}; coarsen the grid or use cell mode"
         )
-    return [(j,) * n for j in range(m)]
-
-
-def _diagonal_basis(prov: _TupleColumns) -> list[int] | None:
-    """Feasible starting basis from the diagonal coupling, when every
-    coincident tuple is pooled with finite cost: the diagonal column of
-    cell j hosts row (0, j); every other row keeps a zero-level
-    artificial.  Disjoint row supports make the basis triangular."""
-    m, n = prov.m, prov.n
-    basis = [-(r + 1) for r in range(prov.nrows)]
-    for j in range(m):
-        idx = prov.pool_index.get((j,) * n)
-        if idx is None or not math.isfinite(prov.costs[idx]):
-            return None
-        basis[j] = idx
-    return basis
+    return np.arange(m, dtype=np.int64)[:, None].repeat(n, axis=1)
 
 
 def solve_transport(
@@ -674,14 +647,17 @@ def solve_transport(
     max_rounds: int = _MAX_ROUNDS,
     init_tuples=None,
 ):
-    """Solve the abstract equal-marginal coupling LP by column generation.
+    """Solve the abstract equal-marginal coupling LP in its multiset form.
 
-    weights is the common marginal over m abstract points.  cost is either
-    an (m, m) pair-interaction matrix (tuple cost = sum over unordered
-    slot pairs) or a full N-way tensor.  Returns (atoms, u_mat, value):
-    optimal tuple weights, the per-marginal dual potentials as an (N, m)
-    array with the dropped-row convention u[i >= 1, m-1] = 0, and the
-    optimal value.
+    weights is the common marginal w over m abstract points; cost is a
+    symmetric (m, m) pair-interaction matrix, and a tuple costs the sum
+    over its unordered slot pairs.  The LP has one column per multiset t
+    of N points and one row per point j: sum_t count_j(t) x_t = N w_j.
+    Its dual is a single potential u with sum_i u(t_i) <= cost(t) and
+    value N sum_j u_j w_j.  Returns (atoms, u_mat, value): the optimal
+    ordered plan, which spreads each basic multiset evenly over its N
+    cyclic shifts, the potential u repeated as the N rows of an (N, m)
+    array, and the optimal value.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -694,44 +670,28 @@ def solve_transport(
     n = int(n_marginals)
     if n < 2:
         raise ValueError("need at least two marginals")
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim == 2 and cost.shape == (m, m):
-        cost_eval = _PairCost(cost, n)
-    elif cost.ndim == n and cost.shape == (m,) * n:
-        cost_eval = _TensorCost(cost)
-    else:
-        raise ValueError(
-            f"cost must be an ({m}, {m}) pair matrix or an {n}-way tensor"
-        )
-    diag_costs = cost_eval(np.arange(m, dtype=np.int64)[:, None].repeat(n, axis=1))
-    injective = bool(np.isinf(diag_costs).all())
+    recip = np.asarray(cost, dtype=float)
+    if recip.shape != (m, m):
+        raise ValueError(f"cost must be an ({m}, {m}) pair matrix")
+    if not np.array_equal(recip, recip.T):
+        raise ValueError("pair cost matrix must be symmetric")
+    injective = bool(np.isinf(np.diag(recip)).all())
     if injective and w.max() > 1.0 / n + 1e-12:
         raise InsufficientSupport(
             f"largest weight {w.max()!r} exceeds 1/{n}; no off-diagonal "
             f"coupling can reproduce this marginal"
         )
-    pool = _initial_pool(m, n, injective, pool_cap)
+    # infinite-cost columns never enter the pool (phase 1 ignores costs);
+    # feasibility is judged on the finite columns alone
+    prov = _MultisetColumns(recip, n, _initial_pool(m, n, injective, pool_cap))
     if init_tuples:
-        seen = set(pool)
-        for t in init_tuples:
-            t = tuple(int(v) for v in t)
-            if t not in seen and (not injective or len(set(t)) == n):
-                pool.append(t)
-                seen.add(t)
-    # infinite-cost columns must never reach the basis (phase 1 ignores
-    # costs); feasibility is judged on the finite columns alone
-    arr = np.array(pool, dtype=np.int64).reshape(-1, n)
-    finite = np.isfinite(cost_eval(arr))
-    if not finite.all():
-        arr = arr[finite]
-    if arr.shape[0] == 0:
+        prov.add(np.array([tuple(t) for t in init_tuples], dtype=np.int64))
+    if prov.pool.shape[0] == 0:
         raise InsufficientSupport("every candidate coupling tuple has infinite cost")
-    prov = _TupleColumns(m, n, cost_eval, arr)
-    b = np.concatenate([w] + [w[: m - 1]] * (n - 1)) if m > 1 else w.copy()
     engine = _SimplexEngine(
-        prov, b, feas_tol=feas_tol, initial_basis=_diagonal_basis(prov)
+        prov, n * w, feas_tol=feas_tol, initial_basis=prov.diagonal_basis()
     )
-    price_tol = feas_tol * (1.0 + cost_eval.max_finite())
+    price_tol = feas_tol * _cost_scale(recip, n)
     for _ in range(max_rounds):
         status, primal, y, obj, cert = engine.optimize()
         if status == "infeasible":
@@ -743,66 +703,52 @@ def solve_transport(
             raise NumericalBreakdown(
                 "coupling LP reported unbounded despite nonnegative costs"
             )
-        u_mat = prov._u_matrix(y)
         fresh = price_columns(
-            u_mat, cost_eval, tol=price_tol, skip=prov.pool_index, batch=batch
+            y, recip, n, tol=price_tol, skip=prov.sorted_codes, batch=batch
         )
-        if not fresh:
-            atoms = {
-                tuple(int(v) for v in prov.pool[j]): x
-                for j, x in sorted(primal.items())
-            }
-            return atoms, u_mat, obj
-        prov.add_tuples(fresh)
+        if fresh.shape[0] == 0:
+            atoms: dict[tuple[int, ...], float] = {}
+            for j, x in primal.items():
+                t = tuple(int(v) for v in prov.pool[j])
+                for s in range(n):
+                    shift = t[s:] + t[:s]
+                    atoms[shift] = atoms.get(shift, 0.0) + x / n
+            return dict(sorted(atoms.items())), np.tile(y, (n, 1)), obj
+        prov.add(fresh)
     raise NumericalBreakdown(f"column generation did not settle in {max_rounds} rounds")
 
 
 def _refine_dual(
     atoms_idx: dict[tuple[int, ...], float],
     u_mat: np.ndarray,
-    cost_eval,
     recip: np.ndarray,
-    value: float,
     feas_tol: float,
     *,
-    max_rows: int = 6000,
-    max_vars: int = 2400,
+    max_cells: int = 2400,
 ) -> np.ndarray:
-    """Replace the vertex dual with the minimum-norm dual tight on the
-    permutation closure of the optimal support, when that refinement
-    stays dual feasible.
+    """Replace the vertex potential with the minimum-norm potential tight
+    on the optimal multisets, when that refinement stays dual feasible.
 
-    Permuting a tight support tuple keeps the constraint tight at any
-    optimal dual (the cost is permutation invariant and the permuted
-    plan is also optimal), so the closure is a legitimate equality set.
-    The minimum-norm solution is basis independent, which stabilizes the
-    reported potentials across pivot orders; it also commutes with any
-    symmetry of the instance.  Falls back to the input on any size,
-    residual, or feasibility failure.
+    The minimum-norm solution does not depend on the pivot order that
+    produced the vertex, which stabilizes the reported potential; it also
+    commutes with any symmetry of the instance.  Falls back to the input
+    on any size, residual, or feasibility failure.
     """
     n, m = u_mat.shape
-    closure = sorted({p for t in atoms_idx for p in permutations(t)})
-    q, v = len(closure), n * m
-    if q == 0 or q > max_rows or v > max_vars:
+    if m > max_cells:
         return u_mat
-    tight = np.array(closure, dtype=np.int64)
-    costs = np.asarray(cost_eval(tight), dtype=float)
-    if not np.isfinite(costs).all():
-        return u_mat
-    A = np.zeros((q, v))
-    rows = np.repeat(np.arange(q), n)
-    cols = (np.arange(n)[None, :] * m + tight).ravel()
-    np.add.at(A, (rows, cols), 1.0)
+    tight = np.array(sorted({tuple(sorted(t)) for t in atoms_idx}), dtype=np.int64)
+    costs = tuple_costs(recip, tight)
+    A = np.zeros((tight.shape[0], m))
+    np.add.at(A, (np.repeat(np.arange(tight.shape[0]), n), tight.ravel()), 1.0)
     sol, *_ = np.linalg.lstsq(A, costs, rcond=None)
     if not np.isfinite(sol).all():
         return u_mat
     resid = float(np.max(np.abs(A @ sol - costs)))
-    scale = 1.0 + float(np.max(np.abs(costs)))
-    if resid > 1e-9 * scale:
+    if resid > 1e-9 * (1.0 + float(np.max(np.abs(costs)))):
         return u_mat
-    refined = sol.reshape(n, m)
-    tol = feas_tol * (1.0 + cost_eval.max_finite())
-    if max_dual_excess(refined, recip) > tol:
+    refined = np.tile(sol, (n, 1))
+    if max_dual_excess(refined, recip) > feas_tol * _cost_scale(recip, n):
         return u_mat
     return refined
 
@@ -822,8 +768,8 @@ def solve_mmot(
 ) -> tuple[TransportPlan, PotentialVector, float]:
     """Solve the discrete multimarginal problem for one measure.
 
-    Returns the optimal plan, the per-marginal dual potentials, and the
-    optimal value.  In cell mode tuples are priced by the finite
+    Returns the optimal plan, the dual potential u repeated in every
+    marginal slot, and the optimal value.  In cell mode tuples are priced by the finite
     pairwise-separable lower bound, so diagonal tuples are admissible; in
     pointwise mode coincident tuples cost infinity and are excluded, which
     requires every cell weight to stay at or below 1/N.
@@ -868,9 +814,7 @@ def solve_mmot(
         init_tuples=init_tuples,
     )
     if refine_duals:
-        u_mat = _refine_dual(
-            atoms_idx, u_mat, _PairCost(recip, n), recip, value, feas_tol
-        )
+        u_mat = _refine_dual(atoms_idx, u_mat, recip, feas_tol)
     atoms = {}
     for t, x in atoms_idx.items():
         if x < -1e-9:
@@ -880,9 +824,8 @@ def solve_mmot(
         atoms[tuple(support[i] for i in t)] = x
     plan = TransportPlan(measure.grid, n, dict(sorted(atoms.items())))
     plan.validate()
-    residual = max(
-        abs(plan.marginal(0).get(c, 0.0) - measure.atoms[c]) for c in support
-    )
+    marginal = plan.marginal(0)
+    residual = max(abs(marginal.get(c, 0.0) - measure.atoms[c]) for c in support)
     if residual > 1e-8:
         raise NumericalBreakdown(f"plan marginal drifts from the measure by {residual!r}")
     values = tuple(

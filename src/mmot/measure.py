@@ -136,13 +136,19 @@ def _smooth_cell_weights(density, grid: GridSpec, samples_per_axis: int) -> dict
     idx = np.arange(lo, hi + 1)
     lows = (idx - 1) * side
     offs = (np.arange(s) + 0.5) * (side / s)
-    axis_pts = (lows[:, None] + offs[None, :]).ravel()
-    mesh = np.meshgrid(*([axis_pts] * d), indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    dens = density.evaluate(pts)
+    cell_pts = lows[:, None] + offs[None, :]
+    axis_pts = cell_pts.ravel()
     n = idx.size
-    dens = dens.reshape(tuple(v for _ in range(d) for v in (n, s)))
-    raw = dens.sum(axis=tuple(range(1, 2 * d, 2)))
+    # one slab of first-axis cells at a time: the whole mesh holds
+    # (n s)**d points, which at d = 3 runs to hundreds of megabytes
+    raw = np.empty((n,) * d)
+    for a in range(n):
+        mesh = np.meshgrid(cell_pts[a], *([axis_pts] * (d - 1)), indexing="ij")
+        pts = np.stack(mesh, axis=-1)
+        del mesh  # the per-axis copies need not outlive evaluate()'s temporaries
+        dens = density.evaluate(pts)
+        dens = dens.reshape((s,) + tuple(v for _ in range(d - 1) for v in (n, s)))
+        raw[a] = dens.sum(axis=tuple(range(0, 2 * d - 1, 2)))
     out: dict[Cell, float] = {}
     it = np.nditer(raw, flags=["multi_index"])
     for val in it:

@@ -229,3 +229,39 @@ def coupling_lp(weights, cost_of_tuple, n: int):
             rows.append([1.0 if t[i] == p else 0.0 for t in tuples])
             rhs.append(w[p])
     return np.asarray(rows), np.asarray(rhs), np.asarray(costs), tuples
+
+
+# ---------------------------------------------------------------------------
+# one-dimensional quantile-shift coupling
+#
+# On the line, repulsive pair costs are minimized by the coupling that
+# sends t in [0, 1) to (F^-1(t), F^-1(t + 1/N), ..., F^-1(t + (N-1)/N)),
+# arguments taken mod 1 (Colombo, De Pascale and Di Marino, Canad. J.
+# Math. 2015; Seidl's strictly correlated electrons, PRA 1999).  For a
+# measure on finitely many ordered points the coupling is piecewise
+# constant in t, so it is an exact finite plan and scales to any m.
+
+
+def quantile_shift_plan(weights, n: int) -> dict[tuple[int, ...], float]:
+    """The quantile-shift coupling of N copies of the measure with the
+    given weights on points 0 < 1 < ... < m-1, as {index tuple: mass}."""
+    w = np.asarray(weights, dtype=float)
+    cum = np.concatenate([[0.0], np.cumsum(w)])
+    shifts = np.arange(n) / n
+    breaks = np.concatenate([(cum[None, :] - shifts[:, None]).ravel() % 1.0, [0.0, 1.0]])
+    breaks = np.unique(breaks)
+    plan: dict[tuple[int, ...], float] = {}
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        t = 0.5 * (lo + hi)
+        idx = np.searchsorted(cum, (t + shifts) % 1.0, side="right") - 1
+        key = tuple(int(v) for v in np.clip(idx, 0, w.size - 1))
+        plan[key] = plan.get(key, 0.0) + float(hi - lo)
+    return plan
+
+
+def quantile_shift_value(weights, pair_cost, n: int) -> float:
+    """Cost of the quantile-shift coupling under a pair cost on indices."""
+    return math.fsum(
+        mass * math.fsum(pair_cost(t[a], t[b]) for a in range(n) for b in range(a + 1, n))
+        for t, mass in quantile_shift_plan(weights, n).items()
+    )

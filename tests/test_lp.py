@@ -5,10 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from mmot.cost import coulomb
 from mmot.errors import InsufficientSupport
-from mmot.lp import StandardLP, solve_lp, solve_transport
+from mmot.grid import GridSpec
+from mmot.lp import StandardLP, solve_lp, solve_mmot, solve_transport
+from mmot.measure import UniformBall, discretize
 
-from oracles import coupling_lp, min_over_vertices, tableau_simplex
+from oracles import (
+    box_sup_dist,
+    coupling_lp,
+    min_over_vertices,
+    quantile_shift_value,
+    tableau_simplex,
+)
 
 
 def _random_feasible_lp(rng, k, ncols):
@@ -208,6 +217,63 @@ def test_solve_transport_input_validation():
         solve_transport(np.array([1.0, -0.1]) / 0.9, recip, 2)
     with pytest.raises(ValueError):
         solve_transport(np.array([0.5, 0.5]), np.ones((3, 3)), 2)
+    with pytest.raises(ValueError):
+        solve_transport(np.array([0.5, 0.5]), np.ones((2, 2, 2)), 3)
+
+
+def test_solve_transport_rejects_asymmetric_pair_matrix():
+    # the multiset LP prices a tuple once for all its orderings, which is
+    # only sound for a permutation-invariant cost
+    recip = np.array([[1.0, 0.5], [0.7, 1.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_transport(np.array([0.5, 0.5]), recip, 2)
+
+
+def test_solve_transport_symmetric_potential_and_cyclic_plan():
+    rng = np.random.default_rng(7)
+    for n, m, injective in [(2, 9, False), (3, 7, False), (4, 5, False), (3, 8, True)]:
+        w = rng.uniform(0.8, 1.2, size=m)
+        w /= w.sum()
+        recip = rng.uniform(0.1, 2.0, size=(m, m))
+        recip = 0.5 * (recip + recip.T)
+        if injective:
+            np.fill_diagonal(recip, np.inf)
+        atoms, u_mat, value = solve_transport(w, recip, n)
+        assert u_mat.shape == (n, m)
+        assert all(np.array_equal(u_mat[i], u_mat[0]) for i in range(n))
+        assert value == pytest.approx(n * float(u_mat[0] @ w), abs=1e-9)
+        # each basic multiset spreads over at most N orderings, and a basic
+        # solution has at most one positive multiset per cell
+        groups: dict[tuple[int, ...], int] = {}
+        for t in atoms:
+            key = tuple(sorted(t))
+            groups[key] = groups.get(key, 0) + 1
+        assert len(groups) <= m
+        assert max(groups.values()) <= n
+        assert len(atoms) <= n * m
+        for slot in range(n):
+            marg = np.zeros(m)
+            for t, x in atoms.items():
+                marg[t[slot]] += x
+            assert np.abs(marg - w).max() <= 1e-10, (n, m, slot)
+
+
+def test_cell_mode_matches_quantile_shift_oracle_in_1d():
+    # the quantile-shift coupling is optimal on the line, so its cell-mode
+    # cost is the LP value at sizes vertex enumeration cannot reach
+    for n, levels in [(2, range(1, 6)), (3, range(1, 6)), (4, range(1, 5))]:
+        for level in levels:
+            grid = GridSpec(level, 1.0, 1)
+            mu = discretize(UniformBall(center=(0.0,), radius=1.0), grid)
+            support = mu.support()
+            w = [mu.atoms[c] for c in support]
+
+            def pair_cost(a, b):
+                return 1.0 / box_sup_dist(support[a], support[b], level)
+
+            _, _, value = solve_mmot(mu, coulomb(n))
+            want = quantile_shift_value(w, pair_cost, n)
+            assert value == pytest.approx(want, abs=1e-9), (n, level, len(support))
 
 
 def test_column_generation_reaches_full_pool_optimum():

@@ -18,6 +18,7 @@ from mmot.measure import (
     FiniteAtomic,
     TruncatedGaussian,
     UniformBall,
+    _smooth_cell_weights,
     discretize,
     load_measure,
     renormalize,
@@ -108,6 +109,29 @@ def test_gaussian_weights_match_quadrature_oracle():
     z = math.fsum(raw.values())
     for cell, w in mu.atoms.items():
         assert w == pytest.approx(raw[cell] / z, rel=1e-12)
+
+
+def test_slab_weights_equal_full_mesh_sum():
+    # the weights are summed one first-axis cell slab at a time; the
+    # reference evaluates the whole midpoint mesh at once
+    g = GridSpec(level=1, window_halfwidth=1.0, dimension=3)
+    s = 6
+    lo, hi = g.index_range
+    n = hi - lo + 1
+    offs = (np.arange(s) + 0.5) * (g.cell_side / s)
+    axis = ((np.arange(lo, hi + 1) - 1) * g.cell_side)[:, None] + offs[None, :]
+    mesh = np.stack(np.meshgrid(*([axis.ravel()] * 3), indexing="ij"), axis=-1)
+    for density in (
+        UniformBall(center=(0.0, 0.0, 0.0), radius=1.0),
+        TruncatedGaussian(center=(0.2, -0.1, 0.3), sigma=0.5),
+    ):
+        full = density.evaluate(mesh).reshape(n, s, n, s, n, s).sum(axis=(1, 3, 5))
+        want = {
+            tuple(int(k) + lo for k in idx): float(v)
+            for idx, v in np.ndenumerate(full)
+            if v > 0.0
+        }
+        assert _smooth_cell_weights(density, g, s) == want
 
 
 def test_gaussian_mass_concentrates_near_center():
