@@ -9,9 +9,13 @@ cyclic shifts of its tuples gives back an ordered coupling with every
 slot marginal equal to w.  The dual is a single Kantorovich potential u
 with sum_i u(t_i) <= cost(t) and value N sum_j u_j w_j.
 
-The engine is a revised simplex with an explicit basis inverse, rank-one
-updates, periodic refactorization, and Bland's rule as a fallback once
-the objective stalls on degenerate pivots.  Entering columns come from a
+The engine is a revised simplex with an explicit basis inverse and
+Bland's rule as a fallback once the objective stalls on degenerate
+pivots.  A multiset column has at most N nonzeros and the directions
+B^-1 a it yields are short, so each pivot's rank-one update rewrites only
+the rows of the inverse where the direction is nonzero; the inverse is
+refactorized once any row has taken a fixed number of updates since the
+last factorization, or after a tiny pivot.  Entering columns come from a
 candidate queue refreshed by full deterministic scans (partial pricing);
 optimality is always confirmed by a full scan.  The coincident multiset
 (j, ..., j) has column N e_j, so wherever its cost is finite it hosts
@@ -123,6 +127,12 @@ def _top_violators(red: np.ndarray, tol: float, topk: int) -> np.ndarray:
     return part[np.lexsort((part, red[part]))]
 
 
+def _first_outside(ids: np.ndarray, exclude: np.ndarray):
+    """The first of the ascending ids not in exclude, or None."""
+    ids = ids[~np.isin(ids, exclude)]
+    return int(ids[0]) if ids.size else None
+
+
 class _DenseColumns:
     """Column provider backed by an explicit matrix."""
 
@@ -160,23 +170,14 @@ class _DenseColumns:
 
     def full_scan(self, phase, tol, topk, exclude) -> np.ndarray:
         red = self._reduced(phase)
-        for j in exclude:
-            red[j] = 0.0
+        red[exclude] = 0.0
         return _top_violators(red, tol, topk)
 
     def entering_bland(self, phase, tol, exclude):
-        red = self._reduced(phase)
-        for j in exclude:
-            red[j] = 0.0
-        hits = np.flatnonzero(red < -tol)
-        return int(hits[0]) if hits.size else None
+        return _first_outside(np.flatnonzero(self._reduced(phase) < -tol), exclude)
 
-    def first_nonzero(self, w: np.ndarray, tol: float, exclude: set[int]):
-        vals = w @ self.A
-        for j in np.flatnonzero(np.abs(vals) > tol):
-            if int(j) not in exclude:
-                return int(j)
-        return None
+    def first_nonzero(self, w: np.ndarray, tol: float, exclude: np.ndarray):
+        return _first_outside(np.flatnonzero(np.abs(w @ self.A) > tol), exclude)
 
 
 def _pooled(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -266,30 +267,23 @@ class _MultisetColumns:
 
     def full_scan(self, phase, tol, topk, exclude) -> np.ndarray:
         red = self._reduced_slice(phase, 0, self.pool.shape[0])
-        if exclude:
-            red[np.fromiter(exclude, dtype=np.int64)] = 0.0
+        red[exclude] = 0.0
         return _top_violators(red, tol, topk)
 
     def entering_bland(self, phase, tol, exclude):
-        # chunked scan in id order; the first violating chunk already
-        # contains the globally smallest violating id
+        # chunked scan in id order; the first chunk with a violating id
+        # outside exclude holds the globally smallest one
         P = self.pool.shape[0]
         for lo in range(0, P, _SCAN_CHUNK):
             hi = min(lo + _SCAN_CHUNK, P)
-            red = self._reduced_slice(phase, lo, hi)
-            hits = np.flatnonzero(red < -tol)
-            for h in hits:
-                j = lo + int(h)
-                if j not in exclude:
-                    return j
+            hits = lo + np.flatnonzero(self._reduced_slice(phase, lo, hi) < -tol)
+            j = _first_outside(hits, exclude)
+            if j is not None:
+                return j
         return None
 
-    def first_nonzero(self, w: np.ndarray, tol: float, exclude: set[int]):
-        vals = self._used(w, self.pool)
-        for j in np.flatnonzero(np.abs(vals) > tol):
-            if int(j) not in exclude:
-                return int(j)
-        return None
+    def first_nonzero(self, w: np.ndarray, tol: float, exclude: np.ndarray):
+        return _first_outside(np.flatnonzero(np.abs(self._used(w, self.pool)) > tol), exclude)
 
 
 def _cost_scale(recip: np.ndarray, n_marginals: int) -> float:
@@ -359,6 +353,14 @@ class _LostFeasibility(Exception):
 class _SimplexEngine:
     """Revised simplex over an abstract column provider.
 
+    The engine keeps an explicit basis inverse.  A pivot computes the
+    direction from the entering column's nonzeros and updates only the
+    rows of the inverse where that direction is nonzero, so it costs
+    O(k nnz(d)) rather than O(k^2) on the sparse bases of the coupling
+    LP.  Each row counts the updates it took since the last
+    factorization, and the inverse is rebuilt from the exact columns once
+    any row reaches refactor_every of them, or right after a tiny pivot.
+
     Rows with negative right-hand side are sign-flipped internally;
     providers always see raw-space row vectors.  Artificial ids are
     -(row + 1), never renumbered, never re-entered.  An initial_basis of
@@ -386,22 +388,19 @@ class _SimplexEngine:
         self.pivot_tol = pivot_tol
         self.max_iters = max_iters
         if initial_basis is None:
-            self.basis = [-(r + 1) for r in range(self.k)]
+            self.basis = -np.arange(1, self.k + 1, dtype=np.int64)
         else:
             if len(initial_basis) != self.k:
                 raise ValueError("initial basis must have one column per row")
-            self.basis = [int(j) for j in initial_basis]
-        self.basis_arr = np.array(self.basis, dtype=np.int64)
+            self.basis = np.array(initial_basis, dtype=np.int64).reshape(self.k)
         self.phase = 1
-        self.cB = np.zeros(self.k)
         self.refactor_every = _REFACTOR_EVERY
         try:
             self._refactor()
         except _LostFeasibility as exc:
             raise NumericalBreakdown("initial basis is primal infeasible") from exc
-        art_mass = float(self.xB[self.basis_arr < 0].sum()) if self.k else 0.0
+        art_mass = float(self.xB[self.basis < 0].sum()) if self.k else 0.0
         self.phase1_done = art_mass <= feas_tol * (1.0 + float(np.abs(self.b).max(initial=0.0)))
-        self.pivots = 0
 
     def _column(self, j: int) -> np.ndarray:
         if j < 0:
@@ -410,28 +409,39 @@ class _SimplexEngine:
             return col
         return self.row_sign * self.prov.column(j)
 
+    def _direction(self, j: int) -> np.ndarray:
+        """B^-1 a_j from the nonzeros of a_j alone."""
+        col = self._column(j)
+        nz = np.flatnonzero(col)
+        return self.Binv[:, nz] @ col[nz]
+
     def _cost(self, j: int, phase: int) -> float:
         if j < 0:
             return 1.0 if phase == 1 else 0.0
         return 0.0 if phase == 1 else self.prov.cost(j)
 
+    def _basic(self) -> np.ndarray:
+        """Ids of the basic real columns."""
+        return self.basis[self.basis >= 0]
+
     def _set_phase(self, phase: int) -> None:
         self.phase = phase
-        self.cB = np.array([self._cost(j, phase) for j in self.basis])
+        self.cB = np.array([self._cost(j, phase) for j in self.basis.tolist()])
 
     def _refactor(self):
         B = np.empty((self.k, self.k))
-        for r, j in enumerate(self.basis):
+        for r, j in enumerate(self.basis.tolist()):
             B[:, r] = self._column(j)
         try:
             self.Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown("basis matrix became singular") from exc
+        self.row_updates = np.zeros(self.k, dtype=np.int64)
         self.xB = self.Binv @ self.b
         if self.xB.min(initial=0.0) < -1e-7 * (1.0 + float(np.abs(self.b).max(initial=0.0))):
             raise _LostFeasibility(float(self.xB.min()))
         np.clip(self.xB, 0.0, None, out=self.xB)
-        self.cB = np.array([self._cost(j, self.phase) for j in self.basis])
+        self._set_phase(self.phase)
 
     def _duals(self) -> np.ndarray:
         return self.cB @ self.Binv
@@ -446,7 +456,7 @@ class _SimplexEngine:
         for stability, except under Bland's rule where the smallest basis
         id keeps the anti-cycling argument intact."""
         art_kick = (
-            (self.basis_arr < 0)
+            (self.basis < 0)
             & (np.abs(d) > self.pivot_tol)
             & (self.xB <= _ZERO_TOL)
         )
@@ -459,12 +469,12 @@ class _SimplexEngine:
             return None, math.inf
         cand = np.flatnonzero(ratios <= best * (1.0 + 1e-9) + 1e-15)
         if bland:
-            leave = int(cand[np.argmin(self.basis_arr[cand])])
+            leave = int(cand[np.argmin(self.basis[cand])])
         else:
             mags = np.abs(d[cand])
             peak = mags.max()
             strong = cand[mags >= 0.9 * peak]
-            leave = int(strong[np.argmin(self.basis_arr[strong])])
+            leave = int(strong[np.argmin(self.basis[strong])])
         return leave, float(ratios[leave])
 
     def _pivot(self, j_in: int, leave: int, d: np.ndarray, theta: float):
@@ -473,17 +483,19 @@ class _SimplexEngine:
         self.xB[leave] = theta
         np.clip(self.xB, 0.0, None, out=self.xB)
         self.Binv[leave] /= piv
-        scale = d.copy()
-        scale[leave] = 0.0
-        self.Binv -= np.outer(scale, self.Binv[leave])
+        # The dense update subtracts exact zeros from the rows where d is
+        # exactly zero, so leaving those rows out keeps the inverse bitwise
+        # equal to it; a threshold on |d| would drop small real terms.
+        touched = np.flatnonzero(d)
+        rows = touched[touched != leave]
+        self.Binv[rows] -= np.outer(d[rows], self.Binv[leave])
+        self.row_updates[touched] += 1
         self.basis[leave] = j_in
-        self.basis_arr[leave] = j_in
         self.cB[leave] = self._cost(j_in, self.phase)
-        self.pivots += 1
         # A tiny pivot element leaves an ill-conditioned update behind;
         # rebuilding the inverse from the exact columns right away keeps
         # the damage from compounding.
-        if abs(piv) < _SMALL_PIVOT or self.pivots % self.refactor_every == 0:
+        if abs(piv) < _SMALL_PIVOT or self.row_updates[touched].max() >= self.refactor_every:
             self._refactor()
 
     def _optimize_phase(self, phase: int) -> None:
@@ -492,19 +504,18 @@ class _SimplexEngine:
         bland = False
         stall = 0
         last_obj = self._objective()
+        # candidates come from full scans, which skip basic columns, and a
+        # candidate turns basic only by entering
         cand = np.empty(0, dtype=np.int64)
         for _ in range(self.max_iters):
             y = self.row_sign * self._duals()
             self.prov.begin_iteration(y)
-            basic = {int(j) for j in self.basis if j >= 0}
             if bland:
-                j = self.prov.entering_bland(phase, tol, basic)
+                j = self.prov.entering_bland(phase, tol, self._basic())
                 if j is None:
                     return
             else:
                 j = None
-                if cand.size:
-                    cand = cand[[int(c) not in basic for c in cand]]
                 if cand.size:
                     red = self.prov.reduced_for(phase, cand)
                     keep = red < -tol
@@ -512,12 +523,12 @@ class _SimplexEngine:
                     if cand.size:
                         j = int(cand[int(np.argmin(red[keep]))])
                 if j is None:
-                    cand = self.prov.full_scan(phase, tol, _CANDIDATES, basic)
+                    cand = self.prov.full_scan(phase, tol, _CANDIDATES, self._basic())
                     if cand.size == 0:
                         return
                     j = int(cand[0])
-                cand = cand[cand != j]
-            d = self.Binv @ self._column(j)
+            cand = cand[cand != j]
+            d = self._direction(j)
             leave, theta = self._ratio_test(d, bland)
             if leave is None:
                 if phase == 1:
@@ -527,7 +538,7 @@ class _SimplexEngine:
                 ray = {j: 1.0}
                 for r in range(self.k):
                     if abs(d[r]) > _ZERO_TOL:
-                        ray[self.basis[r]] = -float(d[r])
+                        ray[int(self.basis[r])] = -float(d[r])
                 raise _Unbounded(ray)
             self._pivot(j, leave, d, theta)
             obj = self._objective()
@@ -546,11 +557,10 @@ class _SimplexEngine:
             if self.basis[r] >= 0 or self.xB[r] > _ZERO_TOL:
                 continue
             w = self.row_sign * self.Binv[r]
-            exclude = {j for j in self.basis if j >= 0}
-            j = self.prov.first_nonzero(w, self.pivot_tol, exclude)
+            j = self.prov.first_nonzero(w, self.pivot_tol, self._basic())
             if j is None:
                 continue
-            d = self.Binv @ self._column(j)
+            d = self._direction(j)
             if abs(d[r]) > self.pivot_tol:
                 self._pivot(j, r, d, 0.0)
 
@@ -585,8 +595,7 @@ class _SimplexEngine:
                     # all-artificial basis and rerun phase 1 with tighter
                     # refactoring.  Generated columns are retained.
                     self.refactor_every = max(10, self.refactor_every // 4)
-                    self.basis = [-(r + 1) for r in range(self.k)]
-                    self.basis_arr = np.array(self.basis, dtype=np.int64)
+                    self.basis = -np.arange(1, self.k + 1, dtype=np.int64)
                     self.phase = 1
                     self._refactor()
                     self.phase1_done = False
@@ -595,7 +604,7 @@ class _SimplexEngine:
         primal = {}
         for r in range(self.k):
             if self.basis[r] >= 0 and self.xB[r] > 0.0:
-                primal[self.basis[r]] = float(self.xB[r])
+                primal[int(self.basis[r])] = float(self.xB[r])
         y = self.row_sign * self._duals()
         return "optimal", primal, y, self._objective(), None
 

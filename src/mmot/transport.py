@@ -42,7 +42,7 @@ from .errors import (
     OverlappingNeighborhoods,
     ParseError,
 )
-from .grid import Cell, GridSpec, inf_dist
+from .grid import Cell, GridSpec
 from .measure import DiscreteMeasure, _normalized_atoms, _parse_header, _strip_comment
 
 _HEADER_PLAN = "mmot-plan v1"
@@ -356,6 +356,45 @@ def verify_duality(
     )
 
 
+def _slot_gaps(cells: np.ndarray, grid: GridSpec, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Window mask and smallest squared slot gap, in lattice units, of
+    every atom.
+
+    cells is an (atoms, N, d) integer array of cell indices on the grid.
+    Returns (inside, gap_sq): whether all of an atom's cells lie in
+    [-radius, radius]^d, and the minimum over its slot pairs of
+    sum_k max(|a_k - b_k| - 1, 0)^2 as int64, so that the pair's inf_dist
+    is cell_side * sqrt(gap_sq).  Raises ValueError for a radius beyond
+    the grid window or a cell the grid does not hold.
+    """
+    if radius > grid.window_halfwidth + 1e-12:
+        raise ValueError("window_radius exceeds the grid window")
+    lo, hi = grid.index_range
+    bad = ((cells < lo) | (cells > hi)).any(axis=2)
+    if bad.any():
+        grid.require_cell(tuple(cells[bad][0].tolist()))
+    side = grid.cell_side
+    inside = (
+        ((cells - 1) * side >= -radius - 1e-12) & (cells * side <= radius + 1e-12)
+    ).all(axis=(1, 2))
+    n = cells.shape[1]
+    gap_sq = np.full(cells.shape[0], np.iinfo(np.int64).max)
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = np.maximum(np.abs(cells[:, i] - cells[:, j]) - 1, 0)
+            np.minimum(gap_sq, (g * g).sum(axis=1), out=gap_sq)
+    return inside, gap_sq
+
+
+def _support_cells(plan: TransportPlan) -> tuple[list[CellTuple], np.ndarray]:
+    """The plan's support, and the same atoms as an (atoms, N, d) array."""
+    support = plan.support()
+    cells = np.array(support, dtype=np.int64).reshape(
+        len(support), plan.n_marginals, plan.grid.dimension
+    )
+    return support, cells
+
+
 def diagonal_clearance(plan: TransportPlan, window_radius: float | None = None) -> float:
     """Smallest pairwise guaranteed distance among plan atoms in the window.
 
@@ -365,24 +404,10 @@ def diagonal_clearance(plan: TransportPlan, window_radius: float | None = None) 
     """
     grid = plan.grid
     R = grid.window_halfwidth if window_radius is None else float(window_radius)
-    if R > grid.window_halfwidth + 1e-12:
-        raise ValueError("window_radius exceeds the grid window")
-    side = grid.cell_side
-    n = plan.n_marginals
-    best = math.inf
-    for cells in plan.support():
-        inside = all(
-            (a - 1) * side >= -R - 1e-12 and a * side <= R + 1e-12
-            for c in cells for a in c
-        )
-        if not inside:
-            continue
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = inf_dist(cells[i], cells[j], grid)
-                if d < best:
-                    best = d
-    return best
+    inside, gap_sq = _slot_gaps(_support_cells(plan)[1], grid, R)
+    if not inside.any():
+        return math.inf
+    return grid.cell_side * math.sqrt(int(gap_sq[inside].min()))
 
 
 def product_plan(measure: DiscreteMeasure, n_marginals: int, max_atoms: int = 2_000_000) -> TransportPlan:
@@ -499,30 +524,22 @@ def bound_parameters(
     side = grid.cell_side
     R = float(window_radius)
 
-    best_cells = None
-    best_sep = 0.0
-    window_mass = 0.0
-    for cells in plan.support():
-        inside = all(
-            (a - 1) * side >= -R - 1e-12 and a * side <= R + 1e-12
-            for c in cells for a in c
-        )
-        if not inside:
-            continue
-        window_mass += plan.atoms[cells]
-        sep = min(
-            inf_dist(cells[i], cells[j], grid)
-            for i in range(n) for j in range(i + 1, n)
-        )
-        if sep > best_sep:
-            best_sep = sep
-            best_cells = cells
-    if best_cells is None or best_sep <= 0.0:
+    support, cells = _support_cells(plan)
+    inside, gap_sq = _slot_gaps(cells, grid, R)
+    ids = np.flatnonzero(inside)
+    if ids.size == 0 or gap_sq[ids].max() == 0:
         raise NoOffDiagonalSupport(
             "no plan atom in the window keeps all slots strictly apart"
         )
+    # np.argmax takes the first maximum: the first atom, in support order,
+    # of the largest separation
+    best = int(ids[np.argmax(gap_sq[ids])])
+    best_cells = support[best]
+    best_sep = side * math.sqrt(int(gap_sq[best]))
+    # cumsum adds in support order, one atom after another
+    window_mass = float(np.cumsum([plan.atoms[support[i]] for i in ids.tolist()])[-1])
 
-    alpha = diagonal_clearance(plan, R)
+    alpha = side * math.sqrt(int(gap_sq[ids].min()))
     # a touching atom elsewhere zeroes the clearance; anchor the radius cap
     # on the selected atom's own separation then
     alpha_eff = alpha if alpha > 0.0 else best_sep

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mmot import lp
 from mmot.cost import coulomb
 from mmot.errors import InsufficientSupport
 from mmot.grid import GridSpec
@@ -288,3 +289,64 @@ def test_column_generation_reaches_full_pool_optimum():
     _, _, full = solve_transport(w, recip, n)
     _, _, capped = solve_transport(w, recip, n, pool_cap=m)
     assert capped == pytest.approx(full, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_maintained_inverse_stays_the_basis_inverse(monkeypatch, n):
+    # row-sparse updates on the multiset LP of a 1-D ball with m = 64
+    pivot = lp._SimplexEngine._pivot
+    seen = []
+
+    def checked(engine, *args):
+        pivot(engine, *args)
+        B = np.column_stack([engine._column(j) for j in engine.basis.tolist()])
+        assert np.abs(engine.Binv @ B - np.eye(engine.k)).max() <= 1e-9
+        assert engine.row_updates.max() < lp._REFACTOR_EVERY
+        seen.append(engine.k)
+
+    monkeypatch.setattr(lp._SimplexEngine, "_pivot", checked)
+    mu = discretize(UniformBall(center=(0.0,), radius=1.0), GridSpec(5, 1.0, 1))
+    solve_mmot(mu, coulomb(n))
+    assert set(seen) == {64} and len(seen) > lp._REFACTOR_EVERY
+
+
+def test_multiset_entering_bland_skips_excluded_ids_across_chunks():
+    # m = 64, N = 3: 45 760 columns in two scan chunks; the phase-2
+    # violators are the multisets holding cell 63, spread over both
+    m = 64
+    rng = np.random.default_rng(5)
+    recip = rng.uniform(0.2, 1.0, size=(m, m))
+    recip = 0.5 * (recip + recip.T)
+    prov = lp._MultisetColumns(recip, 3, lp._multisets(m, 3, False))
+    y = np.zeros(m)
+    y[m - 1] = 10.0
+    prov.begin_iteration(y)
+    hits = np.flatnonzero(prov.costs - y[prov.pool].sum(axis=1) < -1e-9)
+    assert hits[0] < lp._SCAN_CHUNK < hits[-1] < prov.pool.shape[0]
+    none = np.empty(0, dtype=np.int64)
+    assert prov.entering_bland(2, 1e-9, none) == hits[0]
+    # every violator of the first chunk and the first of the second excluded
+    later = hits[hits >= lp._SCAN_CHUNK]
+    exclude = np.concatenate([hits[hits < lp._SCAN_CHUNK], later[:1], [0, lp._SCAN_CHUNK]])
+    assert prov.entering_bland(2, 1e-9, exclude) == later[1]
+    assert prov.entering_bland(2, 1e-9, hits) is None
+
+
+def test_dense_scans_skip_excluded_ids():
+    rng = np.random.default_rng(9)
+    A = rng.normal(size=(4, 40))
+    c = rng.uniform(0.0, 1.0, size=40)
+    prov = lp._DenseColumns(A, c)
+    y = rng.normal(size=4)
+    prov.begin_iteration(y)
+    red = c - y @ A
+    hits = np.flatnonzero(red < -1e-9)
+    assert hits.size > 3
+    exclude = np.array([hits[0], hits[2]])
+    rest = np.setdiff1d(hits, exclude)
+    assert prov.entering_bland(2, 1e-9, exclude) == rest[0]
+    assert prov.entering_bland(2, 1e-9, hits) is None
+    scan = prov.full_scan(2, 1e-9, 40, exclude)
+    assert sorted(scan.tolist()) == rest.tolist()
+    assert np.all(np.diff(red[scan]) >= 0.0)
+    assert prov.full_scan(2, 1e-9, 40, hits).size == 0

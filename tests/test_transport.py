@@ -16,7 +16,7 @@ from mmot.errors import (
     OverlappingNeighborhoods,
     ParseError,
 )
-from mmot.grid import GridSpec
+from mmot.grid import GridSpec, inf_dist
 from mmot.lp import solve_mmot
 from mmot.measure import DiscreteMeasure, UniformBall, discretize
 from mmot.transport import (
@@ -39,6 +39,7 @@ from mmot.transport import (
     symmetrize_potentials,
     verify_duality,
 )
+from mmot.transport import _ball_mass_profile
 
 G1 = GridSpec(level=1, window_halfwidth=1.0, dimension=1)
 
@@ -183,6 +184,78 @@ def test_diagonal_clearance_cases():
     assert diagonal_clearance(swap, window_radius=0.25) == math.inf
     with pytest.raises(ValueError):
         diagonal_clearance(swap, window_radius=2.0)
+
+
+def _window_atoms(plan, R):
+    """(cells, weight, separation) of the plan's atoms inside the window,
+    in support order, by an explicit inf_dist loop over slot pairs."""
+    side, n = plan.grid.cell_side, plan.n_marginals
+    out = []
+    for cells in plan.support():
+        if all((a - 1) * side >= -R - 1e-12 and a * side <= R + 1e-12 for c in cells for a in c):
+            sep = min(
+                inf_dist(cells[i], cells[j], plan.grid)
+                for i in range(n) for j in range(i + 1, n)
+            )
+            out.append((cells, plan.atoms[cells], sep))
+    return out
+
+
+def _bound_parameters_loop(plan, model, R, m_fraction=0.1):
+    atoms = _window_atoms(plan, R)
+    best_cells, best_sep, window_mass = None, 0.0, 0.0
+    for cells, w, sep in atoms:
+        window_mass += w
+        if sep > best_sep:
+            best_cells, best_sep = cells, sep
+    if best_cells is None:
+        raise NoOffDiagonalSupport("reference")
+    alpha = min(sep for _, _, sep in atoms)
+    r = (alpha if alpha > 0.0 else best_sep) / 4.0
+    centers = [plan.grid.cell_center(c) for c in best_cells]
+    profiles = [_ball_mass_profile(plan_measure(plan), np.array(c)) for c in centers]
+    while True:
+        mass = 0.0
+        for dist, cum in profiles:
+            idx = np.searchsorted(dist, r, side="left")
+            if idx > 0:
+                mass += float(cum[idx - 1])
+        if mass < m_fraction * window_mass / 4.0:
+            return r, pointwise_cost(model, centers) / plan.n_marginals
+        r *= 2.0**-0.125
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_clearance_and_bound_parameters_match_inf_dist_loop(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    for level in (1, 2):
+        grid = GridSpec(level=level, window_halfwidth=1.0, dimension=d)
+        lo, hi = grid.index_range
+        for _ in range(4):
+            tuples = {
+                tuple(tuple(int(a) for a in rng.integers(lo, hi + 1, size=d)) for _ in range(n))
+                for _ in range(int(rng.integers(1, 30)))
+            }
+            w = rng.uniform(0.1, 1.0, size=len(tuples))
+            plan = TransportPlan(grid, n, dict(zip(sorted(tuples), (w / w.sum()).tolist())))
+            # R = 0.5 leaves the outer cells, and the atoms on them, outside
+            for R in (1.0, 0.5):
+                atoms = _window_atoms(plan, R)
+                expected = min((sep for _, _, sep in atoms), default=math.inf)
+                assert diagonal_clearance(plan, R) == expected
+                try:
+                    ref = _bound_parameters_loop(plan, coulomb(n), R)
+                except NoOffDiagonalSupport:
+                    with pytest.raises(NoOffDiagonalSupport):
+                        bound_parameters(plan, plan_measure(plan), coulomb(n), R)
+                else:
+                    assert bound_parameters(plan, plan_measure(plan), coulomb(n), R) == ref
+    # cells the grid does not hold: out of range, or of the wrong dimension
+    with pytest.raises(ValueError, match="not a valid index"):
+        diagonal_clearance(TransportPlan(G1, 2, {((-1,), (3,)): 1.0}))
+    with pytest.raises(ValueError):
+        diagonal_clearance(TransportPlan(G1, 2, {((-1, 1), (2, 1)): 1.0}))
 
 
 def test_product_plan_and_its_cost():
