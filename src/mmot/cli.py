@@ -3,8 +3,9 @@
 Machine-readable output (JSON summaries, CSV tables, key=value reports)
 goes to stdout or the --out path; progress notes go to stderr, so the two
 streams never interleave.  Exit codes: 0 success, 2 malformed input or
-options, 3 solver failure (insufficient support, numerical breakdown),
-4 verification failure (duality gap or dual feasibility out of tolerance).
+options, 3 solver failure (insufficient support, size limit, numerical
+breakdown), 4 verification failure (duality gap or dual feasibility out
+of tolerance).
 
 Densities are inline strings or files:
   atoms:a=0,0,0:w=0.5;b=2,0,0:w=0.5
@@ -34,6 +35,7 @@ from .errors import (
     OverlappingNeighborhoods,
     ParseError,
     PointOutsideWindow,
+    ProblemTooLarge,
     SupportOutsideWindow,
     ZeroMass,
 )
@@ -69,6 +71,7 @@ _USAGE_ERRORS = (
 )
 _SOLVER_ERRORS = (
     InsufficientSupport,
+    ProblemTooLarge,
     NumericalBreakdown,
     OverlappingNeighborhoods,
     EmptyRestriction,

@@ -21,7 +21,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .grid import Cell, GridSpec, pairwise_gap_sq
+from .grid import Cell, GridSpec
 
 CellTuple = tuple[Cell, ...]
 
@@ -113,13 +113,27 @@ def pair_recip_matrix(model: CostModel, grid: GridSpec, coords: np.ndarray) -> n
     """(m, m) matrix of sup_dist(cell_i, cell_j) ** -s for support cells.
 
     The solver assembles tuple costs from this matrix; the diagonal holds
-    the finite reciprocal cell diameter.
+    the finite reciprocal cell diameter.  The squared sup gaps are summed
+    one axis at a time in int64, the same integers pairwise_gap_sq gives
+    without its (m, m, d) temporaries.
     """
-    sup_sq, _ = pairwise_gap_sq(coords)
-    dist = grid.cell_side * np.sqrt(sup_sq.astype(float))
+    c = np.asarray(coords, dtype=np.int64)
+    sup_sq = np.zeros((c.shape[0], c.shape[0]), dtype=np.int64)
+    gap = np.empty_like(sup_sq)
+    for axis in range(c.shape[1]):
+        np.subtract.outer(c[:, axis], c[:, axis], out=gap)
+        np.abs(gap, out=gap)
+        gap += 1
+        gap *= gap
+        sup_sq += gap
+    del gap
+    dist = sup_sq.astype(float)
+    del sup_sq
+    np.sqrt(dist, out=dist)
+    dist *= grid.cell_side
     s = model.exponent
     if s == 1.0:
-        return 1.0 / dist
+        return np.divide(1.0, dist, out=dist)
     return dist**-s
 
 

@@ -37,6 +37,10 @@ class InsufficientSupport(MMOTError):
     """The measure cannot support any admissible plan for the requested N."""
 
 
+class ProblemTooLarge(MMOTError):
+    """The LP the request needs exceeds the solver's fixed size limit."""
+
+
 class NumericalBreakdown(MMOTError):
     """The LP engine lost numerical control (tiny pivots, bad residuals)."""
 

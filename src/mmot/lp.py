@@ -9,6 +9,23 @@ cyclic shifts of its tuples gives back an ordered coupling with every
 slot marginal equal to w.  The dual is a single Kantorovich potential u
 with sum_i u(t_i) <= cost(t) and value N sum_j u_j w_j.
 
+The same quotient is taken by the spatial symmetries of the instance.
+solve_mmot keeps the elements of the grid's hyperoctahedral group (axis
+permutations and reflections k -> 1 - k) that map the support onto
+itself and fix the weights and the pair matrix bitwise; bitwise, so that
+the reduced LP is exactly invariant rather than nearly so (symmetry.py
+finds the group and enumerates its orbits).  Averaging an
+optimal plan over that group G keeps it optimal, so the LP is solved over
+G-invariant plans: one row per cell orbit Q, sum_O count_Q(O) X_O =
+N w(Q), and one column per multiset orbit O, represented by its
+lexicographically smallest sorted image, whose per-orbit counts form the
+column and whose cost is the column cost.  The orbit dual U lifts to the
+cell potential u(c) = U[orbit(c)], which meets every constraint of an
+orbit once it meets the representative's.  The plan is lifted by
+spreading each basic orbit's mass evenly over its distinct sorted images
+and then over their N cyclic shifts.  Under the trivial group all of this
+is the multiset LP above, step for step.
+
 The engine is a revised simplex with an explicit basis inverse and
 Bland's rule as a fallback once the objective stalls on degenerate
 pivots.  A multiset column has at most N nonzeros and the directions
@@ -18,19 +35,20 @@ refactorized once any row has taken a fixed number of updates since the
 last factorization, or after a tiny pivot.  Entering columns come from a
 candidate queue refreshed by full deterministic scans (partial pricing);
 optimality is always confirmed by a full scan.  The coincident multiset
-(j, ..., j) has column N e_j, so wherever its cost is finite it hosts
-row j in a feasible starting basis; the other rows start on artificial
-columns and go through phase 1.  Artificial columns carry stable
-negative ids so the column pool can grow between re-optimizations
-without renumbering.  In cell mode the coincident columns span every
-row; in pointwise mode a redundant row (N = m, say) keeps a zero-level
-artificial in the basis, which pins that row's dual to zero.
+(r, ..., r) of an orbit representative r has column N e_Q, so wherever
+its cost is finite it hosts row Q in a feasible starting basis; the
+other rows start on artificial columns and go through phase 1.
+Artificial columns carry stable negative ids so the column pool can grow
+between re-optimizations without renumbering.  In cell mode the
+coincident columns span every row; in pointwise mode a redundant row
+(N = m, say) keeps a zero-level artificial in the basis, which pins that
+row's dual to zero.
 
-Column generation prices every ordered support tuple against the
-current potential in vectorized two-dimensional slabs and injects the
-first violating multisets in enumeration order.  An empty pricing round
-is an unconditional optimality certificate because the scan is
-exhaustive, not sampled.
+Column generation prices every ordered support tuple against the lifted
+potential in vectorized two-dimensional slabs and injects the orbit
+representatives of the first violating multisets in enumeration order.
+An empty pricing round is an unconditional optimality certificate
+because the scan is exhaustive, not sampled.
 
 The potential returned for the coupling problem is refined after
 optimality: among all potentials tight on the optimal multisets, the
@@ -47,8 +65,9 @@ from itertools import product as iter_product
 import numpy as np
 
 from .cost import CostModel, tuple_costs
-from .errors import InsufficientSupport, NumericalBreakdown
+from .errors import InsufficientSupport, NumericalBreakdown, ProblemTooLarge
 from .measure import DiscreteMeasure
+from .symmetry import Symmetry, canonical, symmetry_group
 from .transport import (
     PotentialVector,
     TransportPlan,
@@ -67,8 +86,8 @@ _MAX_ITERS = 500_000
 _CANDIDATES = 1024
 _SCAN_CHUNK = 32_768
 
-# multiset pools beyond this size start from the diagonal coupling instead
-# of every multiset of the support
+# pools of more multiset orbits than this start from the diagonal coupling
+# instead of every orbit of the support
 _POOL_CAP = 1_100_000
 _PRICE_BATCH = 50
 _MAX_ROUNDS = 2_000
@@ -189,19 +208,22 @@ def _pooled(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 class _MultisetColumns:
-    """Columns indexed by multisets of N support-cell positions.
+    """Columns indexed by orbits of multisets of N support-cell positions.
 
-    Each multiset is stored as a sorted row of an int64 array; its column
-    holds the multiplicity of every cell, and its cost is the pair sum
-    over the reciprocal matrix.  Pool membership is keyed by the
-    np.ravel_multi_index code of the sorted row, kept in a sorted array.
+    Each orbit is stored as the sorted row of its representative in an
+    int64 array; its column holds the number of the row's cells in every
+    cell orbit, and its cost is the row's pair sum over the reciprocal
+    matrix.  Pool membership is keyed by the np.ravel_multi_index code of
+    the representative, kept in a sorted array.  Row vectors given to the
+    provider have one entry per cell orbit and are lifted to the cells.
     """
 
-    def __init__(self, recip: np.ndarray, n_marginals: int, pool: np.ndarray):
-        """pool holds sorted rows, each once, in lexicographic order."""
+    def __init__(self, recip: np.ndarray, n_marginals: int, pool: np.ndarray, sym: Symmetry):
+        """pool holds representatives, each once, in lexicographic order."""
         self.m = recip.shape[0]
         self.n = n_marginals
         self.recip = recip
+        self.sym = sym
         self.dims = (self.m,) * n_marginals
         self.pool = np.empty((0, n_marginals), dtype=np.int64)
         self.costs = np.empty(0)
@@ -221,9 +243,11 @@ class _MultisetColumns:
         return int(keep.sum())
 
     def add(self, block: np.ndarray) -> int:
-        """Pool the finite-cost multisets of block (tuples in any order)
-        that are not pooled yet, in code order; returns how many."""
+        """Pool the finite-cost orbits of the multisets of block (tuples in
+        any order) that are not pooled yet, in code order; returns how
+        many."""
         block = np.sort(np.asarray(block, dtype=np.int64).reshape(-1, self.n), axis=1)
+        block = canonical(self.sym.perms, block)
         codes = np.unique(np.ravel_multi_index(block.T, self.dims))
         codes = codes[~_pooled(self.sorted_codes, codes)]
         added = self._append(np.stack(np.unravel_index(codes, self.dims), axis=1))
@@ -231,16 +255,19 @@ class _MultisetColumns:
         return added
 
     def diagonal_basis(self) -> list[int]:
-        """Starting basis: the coincident column (j, ..., j), which is N
-        times the unit vector of row j, wherever it is pooled, and the
-        artificial of row j elsewhere.  Both are feasible for b = N w."""
-        basis = [-(r + 1) for r in range(self.m)]
+        """Starting basis: the coincident column (r, ..., r) of the
+        representative r of cell orbit Q, which is N times the unit vector
+        of row Q, wherever it is pooled, and the artificial of row Q
+        elsewhere.  Both are feasible for b = N w(Q)."""
+        orbit = self.sym.cell_orbit
+        basis = [-(q + 1) for q in range(self.sym.reps.size)]
         for j in np.flatnonzero((self.pool == self.pool[:, :1]).all(axis=1)):
-            basis[int(self.pool[j, 0])] = int(j)
+            basis[int(orbit[self.pool[j, 0]])] = int(j)
         return basis
 
     def column(self, j: int) -> np.ndarray:
-        return np.bincount(self.pool[j], minlength=self.m).astype(float)
+        orbit = self.sym.cell_orbit
+        return np.bincount(orbit[self.pool[j]], minlength=self.sym.reps.size).astype(float)
 
     def cost(self, j: int) -> float:
         return float(self.costs[j])
@@ -255,7 +282,7 @@ class _MultisetColumns:
         return used
 
     def begin_iteration(self, y: np.ndarray) -> None:
-        self._y = y
+        self._y = y[self.sym.cell_orbit]
 
     def _reduced_slice(self, phase: int, lo: int, hi: int) -> np.ndarray:
         used = self._used(self._y, self.pool[lo:hi])
@@ -283,7 +310,8 @@ class _MultisetColumns:
         return None
 
     def first_nonzero(self, w: np.ndarray, tol: float, exclude: np.ndarray):
-        return _first_outside(np.flatnonzero(np.abs(self._used(w, self.pool)) > tol), exclude)
+        used = self._used(w[self.sym.cell_orbit], self.pool)
+        return _first_outside(np.flatnonzero(np.abs(used) > tol), exclude)
 
 
 def _cost_scale(recip: np.ndarray, n_marginals: int) -> float:
@@ -302,6 +330,7 @@ def price_columns(
     tol: float,
     skip: np.ndarray,
     batch: int = _PRICE_BATCH,
+    group: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exhaustively scan all m^N ordered tuples for dual violations.
 
@@ -309,9 +338,11 @@ def price_columns(
     exceeds its pair-sum cost by more than tol.  Returns the sorted rows
     of the first violating multisets in enumeration (lexicographic)
     order, at most batch of them, each once, leaving out those whose
-    code is in the sorted array skip.  An empty return certifies dual
-    feasibility over the whole tuple space, since every slab is
-    inspected.
+    code is in the sorted array skip.  With a group of index permutations
+    (row 0 the identity, u and the pair matrix invariant under it), each
+    violator is replaced by its orbit representative first.  An empty
+    return certifies dual feasibility over the whole tuple space, since
+    every slab is inspected.
     """
     n, m = n_marginals, u.size
     dims = (m,) * n
@@ -327,16 +358,18 @@ def price_columns(
                 const += recip[pa, pb]
         excess = (u_pre - const) + tail - (vec[:, None] + vec[None, :] + recip)
         hits = np.argwhere(excess > tol)
-        if hits.size == 0:
-            continue
-        head = np.broadcast_to(np.array(prefix, dtype=np.int64), (hits.shape[0], n - 2))
-        keys = np.sort(np.concatenate([head, hits], axis=1), axis=1)
-        codes = np.ravel_multi_index(keys.T, dims)
-        fresh = ~_pooled(skip, codes)
-        for code, key in zip(codes[fresh].tolist(), keys[fresh]):
-            found.setdefault(code, key)
-            if len(found) >= batch:
-                return np.array(list(found.values()))
+        for lo in range(0, hits.shape[0], _SCAN_CHUNK // n):
+            part = hits[lo : lo + _SCAN_CHUNK // n]
+            head = np.broadcast_to(np.array(prefix, dtype=np.int64), (part.shape[0], n - 2))
+            keys = np.sort(np.concatenate([head, part], axis=1), axis=1)
+            if group is not None:
+                keys = canonical(group, keys)
+            codes = np.ravel_multi_index(keys.T, dims)
+            fresh = ~_pooled(skip, codes)
+            for code, key in zip(codes[fresh].tolist(), keys[fresh]):
+                found.setdefault(code, key)
+                if len(found) >= batch:
+                    return np.array(list(found.values()))
     return np.array(list(found.values()), dtype=np.int64).reshape(-1, n)
 
 
@@ -619,30 +652,16 @@ def solve_lp(lp: StandardLP, *, feas_tol: float = _FEAS_TOL) -> LPSolution:
     return LPSolution(status, primal, dual, obj, cert)
 
 
-def _multisets(m: int, n: int, distinct: bool) -> np.ndarray:
-    """All sorted n-tuples over range(m), in lexicographic order, as the
-    rows of an int64 array: combinations_with_replacement(range(m), n),
-    or combinations(range(m), n) when distinct."""
-    rows = np.arange(m, dtype=np.int64)[:, None]
-    for _ in range(n - 1):
-        start = rows[:, -1] + (1 if distinct else 0)
-        counts = np.maximum(m - start, 0)
-        offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        nxt = np.repeat(start, counts) + offset
-        rows = np.concatenate([np.repeat(rows, counts, axis=0), nxt[:, None]], axis=1)
-    return rows
-
-
-def _initial_pool(m: int, n: int, injective: bool, cap: int) -> np.ndarray:
-    count = math.comb(m, n) if injective else math.comb(m + n - 1, n)
+def _initial_pool(sym: Symmetry, n: int, injective: bool, cap: int) -> np.ndarray:
+    count = sym.orbit_count(n, injective)
     if count <= cap:
-        return _multisets(m, n, injective)
+        return sym.representatives(n, injective)
     if injective:
-        raise InsufficientSupport(
-            f"pointwise mode enumerates all {count} support multisets of size "
-            f"{n}, which exceeds the cap {cap}; coarsen the grid or use cell mode"
+        raise ProblemTooLarge(
+            f"pointwise mode enumerates all {count} support multiset orbits of "
+            f"size {n}, which exceeds the cap {cap}; coarsen the grid or use cell mode"
         )
-    return np.arange(m, dtype=np.int64)[:, None].repeat(n, axis=1)
+    return np.repeat(sym.reps[:, None], n, axis=1)
 
 
 def solve_transport(
@@ -655,6 +674,7 @@ def solve_transport(
     batch: int = _PRICE_BATCH,
     max_rounds: int = _MAX_ROUNDS,
     init_tuples=None,
+    group: np.ndarray | None = None,
 ):
     """Solve the abstract equal-marginal coupling LP in its multiset form.
 
@@ -663,10 +683,16 @@ def solve_transport(
     over its unordered slot pairs.  The LP has one column per multiset t
     of N points and one row per point j: sum_t count_j(t) x_t = N w_j.
     Its dual is a single potential u with sum_i u(t_i) <= cost(t) and
-    value N sum_j u_j w_j.  Returns (atoms, u_mat, value): the optimal
-    ordered plan, which spreads each basic multiset evenly over its N
-    cyclic shifts, the potential u repeated as the N rows of an (N, m)
-    array, and the optimal value.
+    value N sum_j u_j w_j.
+
+    group, an int (|G|, m) array of index permutations with the identity
+    as row 0, is a symmetry group of the instance: w and the pair matrix
+    must be invariant under it, bitwise (only w is checked here).  The LP
+    is then solved on cell orbits and multiset orbits; None means the
+    trivial group.  Returns (atoms, u_mat, value): the optimal ordered
+    plan, which spreads each basic orbit evenly over its distinct
+    multisets and each of those over its N cyclic shifts, the potential u
+    repeated as the N rows of an (N, m) array, and the optimal value.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -684,6 +710,7 @@ def solve_transport(
         raise ValueError(f"cost must be an ({m}, {m}) pair matrix")
     if not np.array_equal(recip, recip.T):
         raise ValueError("pair cost matrix must be symmetric")
+    sym = Symmetry(_check_group(group, w))
     injective = bool(np.isinf(np.diag(recip)).all())
     if injective and w.max() > 1.0 / n + 1e-12:
         raise InsufficientSupport(
@@ -692,14 +719,13 @@ def solve_transport(
         )
     # infinite-cost columns never enter the pool (phase 1 ignores costs);
     # feasibility is judged on the finite columns alone
-    prov = _MultisetColumns(recip, n, _initial_pool(m, n, injective, pool_cap))
+    prov = _MultisetColumns(recip, n, _initial_pool(sym, n, injective, pool_cap), sym)
     if init_tuples:
         prov.add(np.array([tuple(t) for t in init_tuples], dtype=np.int64))
     if prov.pool.shape[0] == 0:
         raise InsufficientSupport("every candidate coupling tuple has infinite cost")
-    engine = _SimplexEngine(
-        prov, n * w, feas_tol=feas_tol, initial_basis=prov.diagonal_basis()
-    )
+    b = n * np.bincount(sym.cell_orbit, weights=w)
+    engine = _SimplexEngine(prov, b, feas_tol=feas_tol, initial_basis=prov.diagonal_basis())
     price_tol = feas_tol * _cost_scale(recip, n)
     for _ in range(max_rounds):
         status, primal, y, obj, cert = engine.optimize()
@@ -712,19 +738,40 @@ def solve_transport(
             raise NumericalBreakdown(
                 "coupling LP reported unbounded despite nonnegative costs"
             )
+        u = y[sym.cell_orbit]
         fresh = price_columns(
-            y, recip, n, tol=price_tol, skip=prov.sorted_codes, batch=batch
+            u, recip, n, tol=price_tol, skip=prov.sorted_codes, batch=batch, group=sym.perms
         )
         if fresh.shape[0] == 0:
             atoms: dict[tuple[int, ...], float] = {}
             for j, x in primal.items():
-                t = tuple(int(v) for v in prov.pool[j])
-                for s in range(n):
-                    shift = t[s:] + t[:s]
-                    atoms[shift] = atoms.get(shift, 0.0) + x / n
-            return dict(sorted(atoms.items())), np.tile(y, (n, 1)), obj
+                images = sym.images(prov.pool[j])
+                share = x / len(images)
+                for t in images:
+                    for s in range(n):
+                        shift = t[s:] + t[:s]
+                        atoms[shift] = atoms.get(shift, 0.0) + share / n
+            return dict(sorted(atoms.items())), np.tile(u, (n, 1)), obj
         prov.add(fresh)
     raise NumericalBreakdown(f"column generation did not settle in {max_rounds} rounds")
+
+
+def _check_group(group, w: np.ndarray) -> np.ndarray:
+    """The group as an int64 permutation array, the trivial one for None."""
+    ident = np.arange(w.size, dtype=np.int64)
+    if group is None:
+        return ident[None, :]
+    perms = np.asarray(group, dtype=np.int64)
+    if (
+        perms.ndim != 2
+        or perms.shape[1] != w.size
+        or not np.array_equal(perms[0], ident)
+        or not (np.sort(perms, axis=1) == ident).all()
+    ):
+        raise ValueError("group must hold permutations of the points, the identity first")
+    if not (w[perms] == w).all():
+        raise ValueError("weights are not invariant under the group")
+    return perms
 
 
 def _refine_dual(
@@ -732,6 +779,7 @@ def _refine_dual(
     u_mat: np.ndarray,
     recip: np.ndarray,
     feas_tol: float,
+    group: np.ndarray,
     *,
     max_cells: int = 2400,
 ) -> np.ndarray:
@@ -739,24 +787,31 @@ def _refine_dual(
     on the optimal multisets, when that refinement stays dual feasible.
 
     The minimum-norm solution does not depend on the pivot order that
-    produced the vertex, which stabilizes the reported potential; it also
-    commutes with any symmetry of the instance.  Falls back to the input
-    on any size, residual, or feasibility failure.
+    produced the vertex, which stabilizes the reported potential; it is
+    also invariant under the symmetry group, so it is solved for with one
+    unknown U_Q per cell orbit and one equation per optimal multiset
+    orbit.  Weighting U_Q by sqrt|Q| makes its norm the norm of the lifted
+    potential.  Falls back to the input when there are more than
+    max_cells orbits, and on any residual or feasibility failure.
     """
-    n, m = u_mat.shape
-    if m > max_cells:
+    n = u_mat.shape[0]
+    sym = Symmetry(group)
+    if sym.reps.size > max_cells:
         return u_mat
-    tight = np.array(sorted({tuple(sorted(t)) for t in atoms_idx}), dtype=np.int64)
+    keys = canonical(sym.perms, np.sort(np.array(list(atoms_idx), dtype=np.int64), axis=1))
+    tight = np.array(sorted(set(map(tuple, keys.tolist()))), dtype=np.int64)
     costs = tuple_costs(recip, tight)
-    A = np.zeros((tight.shape[0], m))
-    np.add.at(A, (np.repeat(np.arange(tight.shape[0]), n), tight.ravel()), 1.0)
-    sol, *_ = np.linalg.lstsq(A, costs, rcond=None)
+    A = np.zeros((tight.shape[0], sym.reps.size))
+    np.add.at(A, (np.repeat(np.arange(tight.shape[0]), n), sym.cell_orbit[tight].ravel()), 1.0)
+    root = np.sqrt(sym.sizes)
+    sol, *_ = np.linalg.lstsq(A / root, costs, rcond=None)
+    sol = sol / root
     if not np.isfinite(sol).all():
         return u_mat
     resid = float(np.max(np.abs(A @ sol - costs)))
     if resid > 1e-9 * (1.0 + float(np.max(np.abs(costs)))):
         return u_mat
-    refined = np.tile(sol, (n, 1))
+    refined = np.tile(sol[sym.cell_orbit], (n, 1))
     if max_dual_excess(refined, recip) > feas_tol * _cost_scale(recip, n):
         return u_mat
     return refined
@@ -781,7 +836,9 @@ def solve_mmot(
     marginal slot, and the optimal value.  In cell mode tuples are priced by the finite
     pairwise-separable lower bound, so diagonal tuples are admissible; in
     pointwise mode coincident tuples cost infinity and are excluded, which
-    requires every cell weight to stay at or below 1/N.
+    requires every cell weight to stay at or below 1/N.  The LP is solved
+    on the orbits of the grid symmetries that fix the support, the
+    weights and the pair matrix bitwise (see the module docstring).
     """
     if cost_mode not in ("cell", "pointwise"):
         raise ValueError(f"cost_mode must be 'cell' or 'pointwise', got {cost_mode!r}")
@@ -803,6 +860,7 @@ def solve_mmot(
             )
     recip = _support_recip(model, measure.grid, support, cost_mode, measure.positions)
     w = np.array([measure.atoms[c] for c in support])
+    group = symmetry_group(np.array(support, dtype=np.int64), measure.grid, w, recip)
     index = {c: i for i, c in enumerate(support)}
     init_tuples = None
     if init_columns:
@@ -821,9 +879,10 @@ def solve_mmot(
         batch=batch,
         max_rounds=max_rounds,
         init_tuples=init_tuples,
+        group=group,
     )
     if refine_duals:
-        u_mat = _refine_dual(atoms_idx, u_mat, recip, feas_tol)
+        u_mat = _refine_dual(atoms_idx, u_mat, recip, feas_tol, group)
     atoms = {}
     for t, x in atoms_idx.items():
         if x < -1e-9:

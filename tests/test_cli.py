@@ -103,6 +103,19 @@ def test_solve_insufficient_support_exits_3(capsys):
     assert "mmot-error:" in err
 
 
+def test_solve_size_refusal_exits_3(capsys):
+    # 80 atoms at generic points: the pointwise LP needs all C(80, 4)
+    # = 1 581 580 four-point subsets, more than the pool cap allows
+    atoms = ";".join(f"a{i}={(i + 0.5 + 0.3 * (i % 7) / 7) / 64 - 0.7}:w=1" for i in range(80))
+    code, out, err = _run(
+        capsys,
+        ["solve", "--density", f"atoms:{atoms}", "--N", "4", "--level", "6", "--R", "1"],
+    )
+    assert code == 3
+    assert out == ""
+    assert "1581580" in err and "exceeds the cap" in err
+
+
 def test_solve_bad_density_exits_2(capsys):
     code, _, err = _run(
         capsys, ["solve", "--density", "cone:center=0", "--R", "4"]

@@ -17,7 +17,7 @@ from mmot.cost import (
     power_law,
     tuple_costs,
 )
-from mmot.grid import GridSpec, cell_of, children
+from mmot.grid import GridSpec, cell_of, children, pairwise_gap_sq
 
 from oracles import pairwise_interaction
 
@@ -134,6 +134,21 @@ def test_pair_recip_matrix_consistent_with_tuple_costs():
     for row, t in zip(vals, idx):
         tup = tuple(cells[i] for i in t)
         assert row == pytest.approx(cell_cost_lower(model, tup, g), rel=1e-13)
+
+
+def test_pair_recip_matrix_matches_pairwise_gap_sq_bitwise():
+    # the per-axis int64 accumulation gives the same squared sup gaps as
+    # the (m, m, d) broadcast, so the matrix is bitwise unchanged
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        g = GridSpec(level=3, window_halfwidth=1.0, dimension=d)
+        lo, hi = g.index_range
+        coords = rng.integers(lo, hi + 1, size=(40, d))
+        sup_sq, _ = pairwise_gap_sq(coords)
+        dist = g.cell_side * np.sqrt(sup_sq.astype(float))
+        for model in (coulomb(2), power_law(2.0, 2), power_law(0.5, 3), power_law(1.7, 2)):
+            want = 1.0 / dist if model.exponent == 1.0 else dist**-model.exponent
+            assert np.array_equal(pair_recip_matrix(model, g, coords), want), (d, model)
 
 
 def test_pair_recip_matrix_points_diagonal_infinite():

@@ -10,7 +10,9 @@ from mmot.cost import coulomb
 from mmot.errors import InsufficientSupport
 from mmot.grid import GridSpec
 from mmot.lp import StandardLP, solve_lp, solve_mmot, solve_transport
-from mmot.measure import UniformBall, discretize
+from mmot.measure import TruncatedGaussian, UniformBall, discretize
+from mmot.symmetry import Symmetry, symmetry_group
+from mmot.transport import _support_recip
 
 from oracles import (
     box_sup_dist,
@@ -220,6 +222,12 @@ def test_solve_transport_input_validation():
         solve_transport(np.array([0.5, 0.5]), np.ones((3, 3)), 2)
     with pytest.raises(ValueError):
         solve_transport(np.array([0.5, 0.5]), np.ones((2, 2, 2)), 3)
+    with pytest.raises(ValueError):
+        solve_transport(np.array([0.5, 0.5]), recip, 2, group=np.array([[1, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        solve_transport(np.array([0.5, 0.5]), recip, 2, group=np.array([[0, 1], [0, 0]]))
+    with pytest.raises(ValueError):
+        solve_transport(np.array([0.6, 0.4]), recip, 2, group=np.array([[0, 1], [1, 0]]))
 
 
 def test_solve_transport_rejects_asymmetric_pair_matrix():
@@ -293,7 +301,8 @@ def test_column_generation_reaches_full_pool_optimum():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_maintained_inverse_stays_the_basis_inverse(monkeypatch, n):
-    # row-sparse updates on the multiset LP of a 1-D ball with m = 64
+    # row-sparse updates on the multiset LP of an off-center 1-D Gaussian
+    # with m = 64, whose symmetry group is trivial
     pivot = lp._SimplexEngine._pivot
     seen = []
 
@@ -305,7 +314,11 @@ def test_maintained_inverse_stays_the_basis_inverse(monkeypatch, n):
         seen.append(engine.k)
 
     monkeypatch.setattr(lp._SimplexEngine, "_pivot", checked)
-    mu = discretize(UniformBall(center=(0.0,), radius=1.0), GridSpec(5, 1.0, 1))
+    mu = discretize(TruncatedGaussian(center=(0.1,), sigma=0.5), GridSpec(5, 1.0, 1))
+    support = mu.support()
+    weights = np.array([mu.atoms[c] for c in support])
+    recip = _support_recip(coulomb(n), mu.grid, support, "cell", None)
+    assert symmetry_group(np.array(support), mu.grid, weights, recip).shape[0] == 1
     solve_mmot(mu, coulomb(n))
     assert set(seen) == {64} and len(seen) > lp._REFACTOR_EVERY
 
@@ -317,7 +330,8 @@ def test_multiset_entering_bland_skips_excluded_ids_across_chunks():
     rng = np.random.default_rng(5)
     recip = rng.uniform(0.2, 1.0, size=(m, m))
     recip = 0.5 * (recip + recip.T)
-    prov = lp._MultisetColumns(recip, 3, lp._multisets(m, 3, False))
+    sym = Symmetry(np.arange(m)[None, :])
+    prov = lp._MultisetColumns(recip, 3, sym.representatives(3, False), sym)
     y = np.zeros(m)
     y[m - 1] = 10.0
     prov.begin_iteration(y)
