@@ -18,6 +18,7 @@ The spatial dimension is inferred from the coordinate lists.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -506,9 +507,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # argparse builds a help formatter per argument; in-process callers
+    # (tests, benchmarks) call main() many times over
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:

@@ -4,6 +4,9 @@ A DiscreteMeasure assigns positive weight to finitely many cells of one
 GridSpec, summing to one.  Smooth densities are discretized by midpoint
 subsampling (s**d sample points per cell) followed by exact
 renormalization; finite atomic densities are placed exactly via cell_of.
+A uniform ball's samples are counted one axis at a time, by binary search
+on the last axis's squared offsets, instead of evaluating every sample:
+the counts, and so the weights, are exactly those of evaluate().
 
 Atomic densities keep the original point locations alongside the cell
 weights.  The solver's pointwise cost mode uses those locations, which is
@@ -128,17 +131,54 @@ def renormalize(measure: DiscreteMeasure) -> DiscreteMeasure:
     return DiscreteMeasure(measure.grid, _normalized_atoms(measure.atoms), measure.positions)
 
 
-def _smooth_cell_weights(density, grid: GridSpec, samples_per_axis: int) -> dict[Cell, float]:
-    d = grid.dimension
-    lo, hi = grid.index_range
-    side = grid.cell_side
-    s = samples_per_axis
-    idx = np.arange(lo, hi + 1)
-    lows = (idx - 1) * side
-    offs = (np.arange(s) + 0.5) * (side / s)
-    cell_pts = lows[:, None] + offs[None, :]
+def _ball_counts(ball: UniformBall, cell_pts: np.ndarray) -> np.ndarray:
+    """Midpoint samples per cell that UniformBall.evaluate puts inside the ball.
+
+    evaluate() sums the per-axis squared offsets left to right, so a
+    sample is inside when fl(t + v) <= r**2, where t is the sum over the
+    first d - 1 axes and v the last axis's squared offset.  Float addition
+    is monotone, so for each t the last-axis samples inside form a prefix
+    of those samples sorted by v: one binary search per t, corrected by
+    that exact predicate, finds it.  The counts are exact, with no mesh
+    of all (n s)**d samples.
+    """
+    n, s = cell_pts.shape
+    d = len(ball.center)
+    r2 = ball.radius**2
+    sq = [(cell_pts.ravel() - c) ** 2 for c in ball.center]
+    t = np.zeros(1)
+    for a in sq[:-1]:
+        t = (t[:, None] + a[None, :]).ravel()
+    v = sq[-1]
+    m = v.size
+    order = np.argsort(v, kind="stable")
+    vs = v[order]
+    k = np.searchsorted(vs, r2 - t, side="right")
+    while True:
+        # the search ran on r**2 - t, rounded; step k until the exact
+        # predicate holds for every sample before it and for none after
+        grow = k < m
+        grow[grow] = t[grow] + vs[k[grow]] <= r2
+        shrink = k > 0
+        shrink[shrink] = ~(t[shrink] + vs[k[shrink] - 1] <= r2)
+        if not (grow.any() or shrink.any()):
+            break
+        k += grow
+        k -= shrink
+    # samples of last-axis cell j among the first k in sorted order: rank
+    # the samples, key them by (cell, rank), and search all cells at once
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = np.arange(m)
+    keys = np.sort(np.arange(m) // s * (m + 1) + rank)
+    base = np.arange(n) * (m + 1)
+    counts = np.searchsorted(keys, base[None, :] + k[:, None]) - np.arange(n) * s
+    counts = counts.reshape((n, s) * (d - 1) + (n,))
+    return counts.sum(axis=tuple(range(1, 2 * d - 2, 2)))
+
+
+def _slab_sums(density, cell_pts: np.ndarray, d: int) -> np.ndarray:
+    n, s = cell_pts.shape
     axis_pts = cell_pts.ravel()
-    n = idx.size
     # one slab of first-axis cells at a time: the whole mesh holds
     # (n s)**d points, which at d = 3 runs to hundreds of megabytes
     raw = np.empty((n,) * d)
@@ -149,6 +189,24 @@ def _smooth_cell_weights(density, grid: GridSpec, samples_per_axis: int) -> dict
         dens = density.evaluate(pts)
         dens = dens.reshape((s,) + tuple(v for _ in range(d - 1) for v in (n, s)))
         raw[a] = dens.sum(axis=tuple(range(0, 2 * d - 1, 2)))
+    return raw
+
+
+def _smooth_cell_weights(density, grid: GridSpec, samples_per_axis: int) -> dict[Cell, float]:
+    d = grid.dimension
+    lo, hi = grid.index_range
+    side = grid.cell_side
+    s = samples_per_axis
+    idx = np.arange(lo, hi + 1)
+    lows = (idx - 1) * side
+    offs = (np.arange(s) + 0.5) * (side / s)
+    cell_pts = lows[:, None] + offs[None, :]
+    # numpy sums fewer than eight terms left to right, the order the ball
+    # count reproduces; from eight on it sums pairwise
+    if isinstance(density, UniformBall) and d < 8:
+        raw = _ball_counts(density, cell_pts).astype(float)
+    else:
+        raw = _slab_sums(density, cell_pts, d)
     out: dict[Cell, float] = {}
     it = np.nditer(raw, flags=["multi_index"])
     for val in it:

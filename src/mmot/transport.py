@@ -109,13 +109,22 @@ def plan_cost(
     """Total plan cost; 'cell' prices atoms by the finite cell lower bound,
     'pointwise' by the kernel at stored positions (cell centers if absent)."""
     _check_cost_mode(cost_mode)
-    terms = []
+    return _total_cost(_priced_atoms(plan, model, cost_mode, positions))
+
+
+def _priced_atoms(plan, model, cost_mode, positions):
+    """(cells, weight, cost) of every plan atom, in sorted atom order."""
     for cells, w in sorted(plan.atoms.items()):
         if cost_mode == "cell":
             c = cell_cost_lower(model, cells, plan.grid)
         else:
-            pts = [_point_for(plan.grid, cell, positions) for cell in cells]
-            c = pointwise_cost(model, pts)
+            c = pointwise_cost(model, [_point_for(plan.grid, x, positions) for x in cells])
+        yield cells, w, c
+
+
+def _total_cost(priced) -> float:
+    terms = []
+    for _cells, w, c in priced:
         if math.isinf(c):
             return math.inf
         terms.append(w * c)
@@ -299,17 +308,14 @@ def verify_duality(
     n = plan.n_marginals
     weights = plan.marginal(0)
     support = sorted(weights)
-    primal = plan_cost(plan, model, cost_mode=cost_mode, positions=positions)
+    priced = list(_priced_atoms(plan, model, cost_mode, positions))
+    primal = _total_cost(priced)
     dual = potentials.dual_objective(weights)
     gap = abs(primal - dual) / (1.0 + abs(primal))
 
     # complementary slackness on the plan's own atoms
     slack = 0.0
-    for cells, _w in sorted(plan.atoms.items()):
-        if cost_mode == "cell":
-            c = cell_cost_lower(model, cells, plan.grid)
-        else:
-            c = pointwise_cost(model, [_point_for(plan.grid, x, positions) for x in cells])
+    for cells, _w, c in priced:
         u_sum = math.fsum(potentials.value(i, cells[i]) for i in range(n))
         if math.isinf(c):
             continue

@@ -111,27 +111,62 @@ def test_gaussian_weights_match_quadrature_oracle():
         assert w == pytest.approx(raw[cell] / z, rel=1e-12)
 
 
-def test_slab_weights_equal_full_mesh_sum():
-    # the weights are summed one first-axis cell slab at a time; the
-    # reference evaluates the whole midpoint mesh at once
-    g = GridSpec(level=1, window_halfwidth=1.0, dimension=3)
-    s = 6
+def _midpoint_mesh(g, s):
     lo, hi = g.index_range
-    n = hi - lo + 1
     offs = (np.arange(s) + 0.5) * (g.cell_side / s)
     axis = ((np.arange(lo, hi + 1) - 1) * g.cell_side)[:, None] + offs[None, :]
-    mesh = np.stack(np.meshgrid(*([axis.ravel()] * 3), indexing="ij"), axis=-1)
-    for density in (
-        UniformBall(center=(0.0, 0.0, 0.0), radius=1.0),
-        TruncatedGaussian(center=(0.2, -0.1, 0.3), sigma=0.5),
-    ):
-        full = density.evaluate(mesh).reshape(n, s, n, s, n, s).sum(axis=(1, 3, 5))
+    return np.stack(np.meshgrid(*([axis.ravel()] * g.dimension), indexing="ij"), axis=-1)
+
+
+def _tie_radius(g, s, center):
+    """The largest radius inside the window whose square equals some
+    midpoint sample's squared distance from the center, as evaluate()
+    computes it, so that sample sits exactly on the `<=` boundary."""
+    d2 = ((_midpoint_mesh(g, s) - np.asarray(center)) ** 2).sum(axis=-1)
+    room = g.window_halfwidth - max(abs(c) for c in center)
+    for x in np.unique(d2)[::-1]:
+        r = math.sqrt(float(x))
+        if r <= room and r**2 == x:
+            return r
+    raise AssertionError("no sample distance has an exact square root")
+
+
+def test_slab_weights_equal_full_mesh_sum():
+    # balls are counted one axis at a time and other densities summed one
+    # first-axis cell slab at a time; the reference evaluates the whole
+    # midpoint mesh at once
+    g3 = GridSpec(level=1, window_halfwidth=1.0, dimension=3)
+    g2 = GridSpec(level=1, window_halfwidth=1.0, dimension=2)
+    g8 = GridSpec(level=0, window_halfwidth=1.0, dimension=8)
+    c8 = (0.1, -0.05, 0.03, 0.0, 0.02, -0.01, 0.07, 0.04)
+    cases = [
+        (g3, 6, UniformBall(center=(0.0, 0.0, 0.0), radius=1.0)),
+        (g3, 6, TruncatedGaussian(center=(0.2, -0.1, 0.3), sigma=0.5)),
+        # off-center balls, odd sample counts among them
+        (GridSpec(level=2, window_halfwidth=1.0, dimension=1), 5, UniformBall((0.3,), 0.55)),
+        (GridSpec(level=2, window_halfwidth=1.0, dimension=2), 7, UniformBall((0.1, -0.25), 0.6)),
+        (g3, 6, UniformBall((0.2, -0.1, 0.3), 0.5)),
+        # balls touching the window edge, |c| + r = R
+        (g2, 4, UniformBall((0.5, 0.0), 0.5)),
+        (g3, 3, UniformBall((0.0, 0.25, 0.0), 0.75)),
+        # a sample exactly on the sphere
+        (g3, 5, UniformBall((0.0, 0.0, 0.0), _tie_radius(g3, 5, (0.0, 0.0, 0.0)))),
+        (g2, 5, UniformBall((0.1, -0.3), _tie_radius(g2, 5, (0.1, -0.3)))),
+        # from eight axes on, evaluate() no longer sums left to right
+        (g8, 2, UniformBall(c8, _tie_radius(g8, 2, c8))),
+    ]
+    for g, s, density in cases:
+        lo, hi = g.index_range
+        n = hi - lo + 1
+        d = g.dimension
+        full = density.evaluate(_midpoint_mesh(g, s))
+        full = full.reshape((n, s) * d).sum(axis=tuple(range(1, 2 * d, 2)))
         want = {
             tuple(int(k) + lo for k in idx): float(v)
             for idx, v in np.ndenumerate(full)
             if v > 0.0
         }
-        assert _smooth_cell_weights(density, g, s) == want
+        assert _smooth_cell_weights(density, g, s) == want, (g, s, density)
 
 
 def test_gaussian_mass_concentrates_near_center():
