@@ -377,6 +377,30 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positions_for_verify(cfg: RunConfig, grid: GridSpec):
+    """Atom positions of the --density that was solved, on the plan's
+    grid; None without --density or for a density that has none."""
+    text = cfg.get("density", None, str)
+    if text is None:
+        return None
+    parsed = parse_density(text)
+    if parsed[0] == "file":
+        measure = load_measure(parsed[1])
+        if measure.grid != grid:
+            raise DimensionMismatch(
+                f"the stored measure's grid {measure.grid} differs from the plan's {grid}"
+            )
+        return measure.positions
+    density, dim = parsed
+    if dim != grid.dimension:
+        raise DimensionMismatch(
+            f"--density has dimension {dim}, the plan's grid {grid.dimension}"
+        )
+    if not isinstance(density, FiniteAtomic):
+        return None
+    return discretize(density, grid).positions
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = RunConfig(args)
     plan_path = cfg.get("plan", None, str)
@@ -386,7 +410,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     plan = load_plan(plan_path)
     potentials = load_potentials(pot_path)
     model = _cost_model(cfg, plan.n_marginals)
-    mode = _cost_mode(cfg)
+    positions = _positions_for_verify(cfg, plan.grid)
+    mode = _cost_mode(cfg, "pointwise" if positions is not None else "cell")
     gap_tol = cfg.get("gap-tol", 1e-8, float)
     feas_tol = cfg.get("feas-tol", 1e-9, float)
     report = verify_duality(
@@ -394,6 +419,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         potentials,
         model,
         cost_mode=mode,
+        positions=positions,
         m_fraction=cfg.get("m-fraction", 0.1, float),
         feas_tol=feas_tol,
     )
@@ -492,7 +518,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="audit a stored plan against stored potentials")
     p.add_argument("--plan", help="plan file")
     p.add_argument("--potentials", help="potentials file")
-    p.add_argument("--cost-mode", help="cell or pointwise (default cell)")
+    p.add_argument(
+        "--density",
+        help="the solved atoms:/ball:/gauss:/file: density; its atom positions "
+        "price pointwise tuples in place of cell centers",
+    )
+    p.add_argument("--cost-mode", help="cell or pointwise (default: pointwise for atoms:, else cell)")
     p.add_argument("--m-fraction", help="ball-mass fraction for the potential bound (default 0.1)")
     p.add_argument("--json", action="store_true", default=None, help="emit JSON instead of key=value lines")
     _add_common(p)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -99,14 +98,6 @@ def cell_cost_lower(model: CostModel, cells: CellTuple, grid: GridSpec) -> float
                 acc += g * g
             terms.append(_recip_pow(side * math.sqrt(acc), s))
     return math.fsum(terms)
-
-
-def is_permutation_invariant_check(model: CostModel, cells: CellTuple, grid: GridSpec) -> bool:
-    """Evaluate cell_cost_lower on every reordering and compare exactly."""
-    ref = cell_cost_lower(model, cells, grid)
-    return all(
-        cell_cost_lower(model, perm, grid) == ref for perm in permutations(cells)
-    )
 
 
 def pair_recip_matrix(model: CostModel, grid: GridSpec, coords: np.ndarray) -> np.ndarray:

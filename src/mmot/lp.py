@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -72,6 +71,7 @@ from .transport import (
     PotentialVector,
     TransportPlan,
     _support_recip,
+    dual_excess_slabs,
     max_dual_excess,
     plan_cost,
 )
@@ -347,17 +347,10 @@ def price_columns(
     n, m = n_marginals, u.size
     dims = (m,) * n
     found: dict[int, np.ndarray] = {}
-    tail = u[:, None] + u[None, :]
-    for prefix in iter_product(range(m), repeat=n - 2):
-        const = u_pre = 0.0
-        vec = np.zeros(m)
-        for a, pa in enumerate(prefix):
-            vec += recip[pa]
-            u_pre += u[pa]
-            for pb in prefix[a + 1 :]:
-                const += recip[pa, pb]
-        excess = (u_pre - const) + tail - (vec[:, None] + vec[None, :] + recip)
+    for prefix, row0, excess in dual_excess_slabs(np.broadcast_to(u, (n, m)), recip):
         hits = np.argwhere(excess > tol)
+        if row0:
+            hits[:, 0] += row0
         for lo in range(0, hits.shape[0], _SCAN_CHUNK // n):
             part = hits[lo : lo + _SCAN_CHUNK // n]
             head = np.broadcast_to(np.array(prefix, dtype=np.int64), (part.shape[0], n - 2))
@@ -743,17 +736,42 @@ def solve_transport(
             u, recip, n, tol=price_tol, skip=prov.sorted_codes, batch=batch, group=sym.perms
         )
         if fresh.shape[0] == 0:
-            atoms: dict[tuple[int, ...], float] = {}
-            for j, x in primal.items():
-                images = sym.images(prov.pool[j])
-                share = x / len(images)
-                for t in images:
-                    for s in range(n):
-                        shift = t[s:] + t[:s]
-                        atoms[shift] = atoms.get(shift, 0.0) + share / n
-            return dict(sorted(atoms.items())), np.tile(u, (n, 1)), obj
+            idx, x = _lift_plan(primal, prov.pool, sym.perms, prov.dims)
+            atoms = dict(zip(map(tuple, idx.tolist()), x.tolist()))
+            return atoms, np.tile(u, (n, 1)), obj
         prov.add(fresh)
     raise NumericalBreakdown(f"column generation did not settle in {max_rounds} rounds")
+
+
+def _lift_plan(
+    primal: dict[int, float], pool: np.ndarray, perms: np.ndarray, dims: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ordered plan of a basic orbit solution.
+
+    Each basic orbit's mass x is spread evenly over its distinct sorted
+    images under the group perms, (x / images) apiece, and each image's
+    share over its N cyclic shifts, (share / N) apiece.  Returns the
+    distinct ordered index tuples as an int64 (atoms, N) array in
+    lexicographic order and their weights; a tuple reached by several
+    shifts sums them in the order basic column, image, shift, from 0.0.
+    Tuples are handled as base-m codes, whose order is the lexicographic
+    one; shift s of code t is (t mod m^(N-s)) * m^s + t div m^(N-s).
+    """
+    n, m = len(dims), dims[0]
+    xs = np.fromiter(primal.values(), dtype=float, count=len(primal))
+    radix = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # (basic, |G|) codes of the sorted images, sorted along each row
+    codes = np.sort(np.sort(perms[:, pool[list(primal)]], axis=2) @ radix, axis=0).T
+    distinct = np.ones(codes.shape, dtype=bool)
+    np.not_equal(codes[:, 1:], codes[:, :-1], out=distinct[:, 1:])
+    counts = distinct.sum(axis=1)
+    share = np.repeat(xs / counts, counts) / n
+    low = radix * m  # m^(N-s) for shift s
+    images = codes[distinct][:, None]
+    shifted = (images % low) * (m**n // low) + images // low
+    tuples, inv = np.unique(shifted.ravel(), return_inverse=True)
+    x = np.bincount(inv, weights=np.repeat(share, n))
+    return tuples[:, None] // radix % m, x
 
 
 def _check_group(group, w: np.ndarray) -> np.ndarray:
@@ -881,24 +899,22 @@ def solve_mmot(
         init_tuples=init_tuples,
         group=group,
     )
+    idx = np.array(list(atoms_idx), dtype=np.int64).reshape(-1, n)
+    x = np.fromiter(atoms_idx.values(), dtype=float, count=len(atoms_idx))
     if refine_duals:
         u_mat = _refine_dual(atoms_idx, u_mat, recip, feas_tol, group)
-    atoms = {}
-    for t, x in atoms_idx.items():
-        if x < -1e-9:
-            raise NumericalBreakdown(f"negative plan weight {x!r}")
-        if x <= 1e-12:
-            continue
-        atoms[tuple(support[i] for i in t)] = x
-    plan = TransportPlan(measure.grid, n, dict(sorted(atoms.items())))
+    negative = np.flatnonzero(x < -1e-9)
+    if negative.size:
+        raise NumericalBreakdown(f"negative plan weight {float(x[negative[0]])!r}")
+    keep = x > 1e-12
+    cells = np.array(support, dtype=np.int64)[idx[keep]]
+    plan = TransportPlan.from_arrays(measure.grid, n, cells, x[keep])
     plan.validate()
-    marginal = plan.marginal(0)
-    residual = max(abs(marginal.get(c, 0.0) - measure.atoms[c]) for c in support)
+    marginal = np.bincount(idx[keep, 0], weights=x[keep], minlength=m)
+    residual = float(np.max(np.abs(marginal - w)))
     if residual > 1e-8:
         raise NumericalBreakdown(f"plan marginal drifts from the measure by {residual!r}")
-    values = tuple(
-        {support[j]: float(u_mat[i, j]) for j in range(m)} for i in range(n)
-    )
+    values = tuple(dict(zip(support, u_mat[i].tolist())) for i in range(n))
     potentials = PotentialVector(measure.grid, values)
     primal = plan_cost(plan, model, cost_mode=cost_mode, positions=measure.positions)
     dual = potentials.dual_objective(measure.atoms)

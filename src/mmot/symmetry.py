@@ -185,13 +185,6 @@ class Symmetry:
         reps = np.concatenate(blocks)
         return reps[np.lexsort(reps.T[::-1])] if symmetric else reps
 
-    def images(self, row: np.ndarray) -> list[tuple[int, ...]]:
-        """The distinct sorted images of one sorted row, in lexicographic
-        order."""
-        if self.perms.shape[0] == 1:
-            return [tuple(row.tolist())]
-        return sorted(set(map(tuple, np.sort(self.perms[:, row], axis=1).tolist())))
-
 
 def _sorted_tuples(first: np.ndarray, m: int, n: int, distinct: bool) -> np.ndarray:
     """All sorted n-tuples over range(m) whose first element is in first,

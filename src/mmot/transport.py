@@ -8,6 +8,20 @@ primal-dual audit (objective gap, complementary slackness, an exhaustive
 dual feasibility rescan, diagonal clearance, and an a priori sup-norm
 bound on the symmetrized potential) into a DualityReport.
 
+A plan's atoms dict has one array view, TransportPlan.arrays: the cells as
+an int64 (atoms, N, d) array and the weights as float64, in sorted atom
+order, built once per plan (solve_mmot and load_plan hand it over ready).
+Validation, marginals, pricing, the slackness check, the diagonal
+clearance, the potential bound and the plan file all run on that view
+with whole-array operations.  Results stay bitwise those of pricing one
+atom at a time: pair and axis terms are evaluated by the same scalar
+functions, once per distinct value; sums of three or more terms per atom
+stay math.fsum (up to two, one IEEE addition is the correctly rounded
+sum); marginals add weights in sorted atom order (np.bincount); the plan
+total is math.fsum of w * c.  The dual rescan walks every ordered support
+tuple in row blocks of bounded size (dual_excess_slabs), the same kernel
+that prices columns in lp.py.
+
 swap_improve is the constructive rearrangement that moves plan mass off
 the diagonal: restrict the plan to N pairwise disjoint product
 neighborhoods, equalize the restricted masses, and reassemble the pieces
@@ -17,9 +31,11 @@ preserved by construction; the cost change is reported, not promised.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from itertools import product as iter_product
 
 import numpy as np
@@ -27,7 +43,7 @@ import numpy as np
 from .cost import (
     CellTuple,
     CostModel,
-    cell_cost_lower,
+    _recip_pow,
     pair_recip_matrix,
     pair_recip_matrix_points,
     pointwise_cost,
@@ -55,11 +71,65 @@ DUAL_FEAS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Weighted N-tuples of cells with a common per-slot marginal."""
+    """Weighted N-tuples of cells with a common per-slot marginal.
+
+    atoms is the plan; `arrays` is its array view, built on first use and
+    kept, so atoms must not change after a plan is made.
+    """
 
     grid: GridSpec
     n_marginals: int
     atoms: dict[CellTuple, float]
+
+    @classmethod
+    def from_arrays(
+        cls, grid: GridSpec, n_marginals: int, cells: np.ndarray, weights: np.ndarray
+    ) -> "TransportPlan":
+        """The plan of distinct atoms given as an int (atoms, N, d) cell
+        array and their weights, in any order; its array view is these
+        arrays in sorted atom order."""
+        cells = np.asarray(cells, dtype=np.int64)
+        weights = np.asarray(weights, dtype=float)
+        flat = cells.reshape(cells.shape[0], -1)
+        order = np.lexsort(flat.T[::-1])
+        cells, weights = cells[order], weights[order]
+        keys = [tuple(map(tuple, atom)) for atom in cells.tolist()]
+        plan = cls(grid, n_marginals, dict(zip(keys, weights.tolist())))
+        vars(plan)["arrays"] = (cells, weights)
+        return plan
+
+    @functools.cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cells, weights): the atoms as an int64 (atoms, N, d) array of
+        cell indices and a float64 array of weights, in sorted atom order.
+        Raises ValueError for an atom without N cells of the grid's
+        dimension."""
+        keys = sorted(self.atoms)
+        shape = (len(keys), self.n_marginals, self.grid.dimension)
+        try:
+            cells = np.array(keys, dtype=np.int64) if keys else np.empty(shape, np.int64)
+        except (TypeError, ValueError):  # ragged atoms
+            cells = None
+        if cells is None or cells.shape != shape:
+            n, d = shape[1:]
+            bad = next(
+                (k for k in keys
+                 if len(k) != n or any(not isinstance(c, tuple) or len(c) != d for c in k)),
+                None,
+            )
+            if bad is None:
+                raise ValueError("plan atoms must hold integer cell indices")
+            raise ValueError(f"atom {bad!r} does not have {n} slots of dimension {d}")
+        return cells, np.array([self.atoms[k] for k in keys], dtype=float)
+
+    @functools.cached_property
+    def cell_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cells, inv): the distinct cells of the array view in sorted
+        order, as an int64 (cells, d) array, and the (atoms, N) position
+        of every atom's cells among them."""
+        cells = self.arrays[0]
+        uniq, inv, _ = _unique_rows(cells.reshape(-1, cells.shape[2]))
+        return uniq, inv.reshape(cells.shape[:2])
 
     def support(self) -> list[CellTuple]:
         return sorted(self.atoms)
@@ -68,30 +138,67 @@ class TransportPlan:
         return math.fsum(self.atoms.values())
 
     def marginal(self, slot: int) -> dict[Cell, float]:
-        out: dict[Cell, float] = {}
-        for cells, w in self.atoms.items():
-            c = cells[slot]
-            out[c] = out.get(c, 0.0) + w
-        return {c: out[c] for c in sorted(out)}
+        """The slot's marginal, sorted by cell; each cell's weight is summed
+        in sorted atom order."""
+        uniq, inv = self.cell_index
+        ids = inv[:, slot]
+        held = np.bincount(ids, minlength=uniq.shape[0]) > 0
+        sums = np.bincount(ids, weights=self.arrays[1], minlength=uniq.shape[0])
+        return dict(zip(map(tuple, uniq[held].tolist()), sums[held].tolist()))
 
     def validate(self, tol: float = PLAN_TOL) -> None:
-        for cells, w in self.atoms.items():
-            if len(cells) != self.n_marginals:
-                raise ValueError(f"atom {cells!r} does not have {self.n_marginals} slots")
-            for c in cells:
-                self.grid.require_cell(c)
-            if not w > 0:
-                raise ValueError(f"atom {cells!r} has nonpositive weight {w!r}")
+        cells, w = self.arrays
+        _require_cells(self.grid, cells)
+        nonpositive = np.flatnonzero(~(w > 0))
+        if nonpositive.size:
+            i = int(nonpositive[0])
+            raise ValueError(f"atom {_atom_key(cells[i])!r} has nonpositive weight {float(w[i])!r}")
         if abs(self.total_mass() - 1.0) > tol:
             raise ValueError(f"plan mass {self.total_mass()!r} deviates from 1 beyond {tol}")
-        ref = self.marginal(0)
+        uniq, inv = self.cell_index
+        ref = np.bincount(inv[:, 0], weights=w, minlength=uniq.shape[0])
         for slot in range(1, self.n_marginals):
-            marg = self.marginal(slot)
-            for c in set(ref) | set(marg):
-                if abs(ref.get(c, 0.0) - marg.get(c, 0.0)) > tol:
-                    raise ValueError(
-                        f"marginal {slot} deviates from marginal 0 at cell {c!r}"
-                    )
+            marg = np.bincount(inv[:, slot], weights=w, minlength=uniq.shape[0])
+            off = np.flatnonzero(np.abs(ref - marg) > tol)
+            if off.size:
+                raise ValueError(
+                    f"marginal {slot} deviates from marginal 0 at cell "
+                    f"{tuple(uniq[off[0]].tolist())!r}"
+                )
+
+
+def _atom_key(atom: np.ndarray) -> CellTuple:
+    """The dict key of one (N, d) atom row."""
+    return tuple(map(tuple, atom.tolist()))
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct, inv, repeat) for a 2-D integer array: its distinct rows
+    in lexicographic order, each row's position among them, and the mask
+    of rows equal to an earlier row."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(rows.shape[0], dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inv = np.empty(rows.shape[0], dtype=np.int64)
+    inv[order] = np.cumsum(new) - 1
+    # lexsort is stable: of equal rows the earliest comes first
+    repeat = np.empty(rows.shape[0], dtype=bool)
+    repeat[order] = ~new
+    return ranked[new], inv, repeat
+
+
+def _outside(grid: GridSpec, cells: np.ndarray) -> np.ndarray:
+    """Mask of the cells of an (..., d) integer array outside the window."""
+    lo, hi = grid.index_range
+    return ((cells < lo) | (cells > hi)).any(axis=-1)
+
+
+def _require_cells(grid: GridSpec, cells: np.ndarray) -> None:
+    """grid.require_cell for every cell of an (..., d) integer array."""
+    bad = _outside(grid, cells)
+    if bad.any():
+        grid.require_cell(tuple(cells[bad][0].tolist()))
 
 
 def plan_measure(plan: TransportPlan) -> DiscreteMeasure:
@@ -109,26 +216,69 @@ def plan_cost(
     """Total plan cost; 'cell' prices atoms by the finite cell lower bound,
     'pointwise' by the kernel at stored positions (cell centers if absent)."""
     _check_cost_mode(cost_mode)
-    return _total_cost(_priced_atoms(plan, model, cost_mode, positions))
+    return _total_cost(plan.arrays[1], _atom_costs(plan, model, cost_mode, positions))
 
 
-def _priced_atoms(plan, model, cost_mode, positions):
-    """(cells, weight, cost) of every plan atom, in sorted atom order."""
-    for cells, w in sorted(plan.atoms.items()):
-        if cost_mode == "cell":
-            c = cell_cost_lower(model, cells, plan.grid)
-        else:
-            c = pointwise_cost(model, [_point_for(plan.grid, x, positions) for x in cells])
-        yield cells, w, c
+def _atom_costs(plan, model, cost_mode, positions) -> np.ndarray:
+    """Cost of every plan atom, in sorted atom order, bitwise equal to
+    cell_cost_lower or pointwise_cost of the atom."""
+    n = model.n_marginals
+    cells, _w = plan.arrays
+    if cells.shape[1] != n:
+        raise ValueError(f"expected {n} cells, got {cells.shape[1]}")
+    pairs = list(combinations(range(n), 2))
+    if cost_mode == "cell":
+        _require_cells(plan.grid, cells)
+        sup_sq = np.stack(
+            [((np.abs(cells[:, i] - cells[:, j]) + 1) ** 2).sum(axis=1) for i, j in pairs],
+            axis=1,
+        )
+        return _fsum_rows(_pair_terms(sup_sq, plan.grid.cell_side, model.exponent))
+    pts = _atom_points(plan, positions)
+    d2 = np.empty((cells.shape[0], len(pairs)))
+    for k, (i, j) in enumerate(pairs):
+        diff = pts[:, i] - pts[:, j]
+        d2[:, k] = _fsum_rows(diff * diff)
+    coincident = (d2 == 0.0).any(axis=1)
+    costs = _fsum_rows(_pair_terms(np.where(d2 == 0.0, 1.0, d2), 1.0, model.exponent))
+    costs[coincident] = math.inf
+    return costs
 
 
-def _total_cost(priced) -> float:
-    terms = []
-    for _cells, w, c in priced:
-        if math.isinf(c):
-            return math.inf
-        terms.append(w * c)
-    return math.fsum(terms)
+def _pair_terms(sq: np.ndarray, scale: float, s: float) -> np.ndarray:
+    """_recip_pow(scale * sqrt(q), s) for every entry q of sq, the pair
+    term of cell_cost_lower (scale = cell side, q = squared sup gap) and of
+    pointwise_cost (scale = 1, q = squared distance).  The scalar function
+    runs once per distinct value."""
+    vals, inv = np.unique(sq, return_inverse=True)
+    table = np.array([_recip_pow(scale * math.sqrt(q), s) for q in vals.tolist()], dtype=float)
+    return table[inv.reshape(sq.shape)]
+
+
+def _fsum_rows(terms: np.ndarray) -> np.ndarray:
+    """math.fsum of every row of a 2-D array.  Up to two terms one IEEE
+    addition is already the correctly rounded sum."""
+    if terms.shape[1] == 1:
+        return terms[:, 0].copy()
+    if terms.shape[1] == 2:
+        return terms[:, 0] + terms[:, 1]
+    return np.fromiter(map(math.fsum, terms.tolist()), dtype=float, count=terms.shape[0])
+
+
+def _total_cost(weights: np.ndarray, costs: np.ndarray) -> float:
+    if np.isinf(costs).any():
+        return math.inf
+    return math.fsum((weights * costs).tolist())
+
+
+def _atom_points(plan, positions) -> np.ndarray:
+    """(atoms, N, d) float positions of the atoms' cells: stored positions
+    where given, cell centers elsewhere."""
+    uniq, inv = plan.cell_index
+    table = np.array(
+        [_point_for(plan.grid, c, positions) for c in map(tuple, uniq.tolist())], dtype=float
+    ).reshape(uniq.shape)
+    return table[inv]
 
 
 def _point_for(grid, cell, positions):
@@ -182,10 +332,21 @@ def symmetrize_potentials(potentials: PotentialVector) -> PotentialVector:
     """
     cells = sorted(set().union(*[set(v) for v in potentials.values]))
     n = potentials.n_marginals
-    sym = {}
-    for c in cells:
-        sym[c] = math.fsum(potentials.value(i, c) for i in range(n)) / n
+    table = np.array([_slot_values(potentials, i, cells) for i in range(n)]).reshape(n, -1)
+    sym = dict(zip(cells, (_fsum_rows(table.T) / n).tolist()))
     return PotentialVector(potentials.grid, tuple(dict(sym) for _ in range(n)), sym)
+
+
+def _slot_values(potentials: PotentialVector, slot: int, cells) -> list[float]:
+    """The slot's potential at each of cells; DimensionMismatch for a cell
+    it does not hold."""
+    vals = potentials.values[slot]
+    try:
+        return [vals[c] for c in cells]
+    except KeyError as exc:
+        raise DimensionMismatch(
+            f"potential {slot} has no value at cell {exc.args[0]!r}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -257,31 +418,84 @@ def _support_recip(model, grid, support, cost_mode, positions):
     return pair_recip_matrix_points(model, pts)
 
 
+# Entries of the tuple space that dual_excess_slabs evaluates at once.
+_SLAB_BLOCK = 1 << 16
+
+
+def dual_excess_slabs(u_mat: np.ndarray, recip: np.ndarray):
+    """Yield (prefix, lo, excess) blocks that cover the whole tuple space.
+
+    u_mat is the (N, m) array of slot potentials on the support; a tuple
+    costs the sum of recip over its slot pairs.  Prefixes of the first
+    N-2 slots come in lexicographic order, and for each a run of row
+    blocks: excess[r, j] = sum_k u_k(t_k) - cost(t) for the tuple
+    t = prefix + (lo + r, j).  An entry is evaluated as
+    ((u_pre - const) + tail) - ((vec_i + vec_j) + recip_ij), where u_pre
+    and const are the prefix's potential and pair cost, tail_ij =
+    u_{N-2}(i) + u_{N-1}(j) and vec holds the prefix's pair costs to every
+    cell; for N = 2 the prefix is empty and (0 + 0) + recip_ij is
+    recip_ij.  Two buffers of at most _SLAB_BLOCK entries (three when the
+    slab fits one block) are reused, so a yielded block is valid until the
+    next one.
+    """
+    n, m = u_mat.shape
+    rows = max(1, min(m, _SLAB_BLOCK // max(m, 1)))
+    excess = np.empty((rows, m))
+    cost = np.empty((rows, m))
+    vec = np.zeros(m)
+    vec_j, u_j = vec[None, :], u_mat[n - 1][None, :]
+    # a slab that fits one block keeps its tail across prefixes
+    tail = u_mat[n - 2][:, None] + u_j if rows == m else None
+    blocks = [
+        (lo, excess[: hi - lo], cost[: hi - lo], vec[lo:hi, None], recip[lo:hi],
+         u_mat[n - 2, lo:hi, None])
+        for lo, hi in ((lo, min(lo + rows, m)) for lo in range(0, m, rows))
+    ]
+    for prefix in iter_product(range(m), repeat=n - 2):
+        const = u_pre = 0.0
+        vec.fill(0.0)
+        for a, pa in enumerate(prefix):
+            vec += recip[pa]
+            u_pre += u_mat[a, pa]
+            for pb in prefix[a + 1 :]:
+                const += recip[pa, pb]
+        for lo, ex, co, vec_i, recip_i, u_i in blocks:
+            if tail is None:
+                np.add(u_i, u_j, out=ex)
+                ex += u_pre - const
+            else:
+                np.add(tail, u_pre - const, out=ex)
+            if prefix:
+                np.add(vec_i, vec_j, out=co)
+                co += recip_i
+                ex -= co
+            else:
+                ex -= recip_i
+            yield prefix, lo, ex
+
+
 def max_dual_excess(u_mat: np.ndarray, recip: np.ndarray) -> float:
     """max over all support tuples of (sum_i u_i(t_i) - cost(t)).
 
-    Scans the full tuple space in two-dimensional slabs; infinite costs
+    Scans the full tuple space in two-dimensional blocks; infinite costs
     yield -inf excess and never dominate.  Positive values mean the dual
     constraint is violated somewhere.
     """
-    n, m = u_mat.shape
     best = -math.inf
-    tail = u_mat[n - 2][:, None] + u_mat[n - 1][None, :]
-    for prefix in iter_product(range(m), repeat=n - 2):
-        const = 0.0
-        for a in range(len(prefix)):
-            for b in range(a + 1, len(prefix)):
-                const += recip[prefix[a], prefix[b]]
-        vec = np.zeros(m)
-        u_pre = 0.0
-        for a, pa in enumerate(prefix):
-            vec += recip[pa, :]
-            u_pre += u_mat[a, pa]
-        excess = (u_pre - const) + tail - (vec[:, None] + vec[None, :] + recip)
-        cand = float(np.max(excess))
+    for _prefix, _lo, excess in dual_excess_slabs(u_mat, recip):
+        cand = float(excess.max())
         if cand > best:
             best = cand
     return best
+
+
+def _potential_table(potentials: PotentialVector, uniq: np.ndarray, needed) -> np.ndarray:
+    """(N, cells) array of every slot's potential at the cells of uniq
+    that the (N, cells) mask needed marks for that slot; NaN elsewhere."""
+    table = np.full(needed.shape, np.nan)
+    for slot, mask in enumerate(needed):
+        table[slot, mask] = _slot_values(potentials, slot, map(tuple, uniq[mask].tolist()))
+    return table
 
 
 def verify_duality(
@@ -306,28 +520,31 @@ def verify_duality(
             f"potentials {potentials.n_marginals}, cost {model.n_marginals}"
         )
     n = plan.n_marginals
-    weights = plan.marginal(0)
-    support = sorted(weights)
-    priced = list(_priced_atoms(plan, model, cost_mode, positions))
-    primal = _total_cost(priced)
-    dual = potentials.dual_objective(weights)
+    w = plan.arrays[1]
+    costs = _atom_costs(plan, model, cost_mode, positions)
+    primal = _total_cost(w, costs)
+
+    # slot potentials at the plan's cells: the support (slot-0 cells) in
+    # every slot for the rescan, and each slot's own cells for slackness
+    uniq, inv = plan.cell_index
+    needed = np.zeros((n, uniq.shape[0]), dtype=bool)
+    needed[np.arange(n), inv] = True
+    support_ids = np.flatnonzero(needed[0])
+    needed[:, support_ids] = True
+    table = _potential_table(potentials, uniq, needed)
+    u_mat = table[:, support_ids]
+    weights = np.bincount(inv[:, 0], weights=w)[support_ids]
+    dual = math.fsum((u_mat * weights).ravel().tolist())
     gap = abs(primal - dual) / (1.0 + abs(primal))
 
     # complementary slackness on the plan's own atoms
-    slack = 0.0
-    for cells, _w, c in priced:
-        u_sum = math.fsum(potentials.value(i, cells[i]) for i in range(n))
-        if math.isinf(c):
-            continue
-        slack = max(slack, c - u_sum)
-    slack = max(slack, 0.0)
+    u_sum = _fsum_rows(table[np.arange(n), inv])
+    tight = costs - u_sum
+    tight = tight[~np.isinf(costs) & ~np.isnan(tight)]
+    slack = max(0.0, float(tight.max())) if tight.size else 0.0
 
-    # exhaustive dual feasibility rescan over every support tuple
-    index = {c: i for i, c in enumerate(support)}
-    u_mat = np.empty((n, len(support)))
-    for i in range(n):
-        for c, j in index.items():
-            u_mat[i, j] = potentials.value(i, c)
+    # exhaustive dual feasibility rescan over every ordered support tuple
+    support = list(map(tuple, uniq[support_ids].tolist()))
     recip = _support_recip(model, plan.grid, support, cost_mode, positions)
     violation = max(max_dual_excess(u_mat, recip), 0.0)
 
@@ -375,10 +592,7 @@ def _slot_gaps(cells: np.ndarray, grid: GridSpec, radius: float) -> tuple[np.nda
     """
     if radius > grid.window_halfwidth + 1e-12:
         raise ValueError("window_radius exceeds the grid window")
-    lo, hi = grid.index_range
-    bad = ((cells < lo) | (cells > hi)).any(axis=2)
-    if bad.any():
-        grid.require_cell(tuple(cells[bad][0].tolist()))
+    _require_cells(grid, cells)
     side = grid.cell_side
     inside = (
         ((cells - 1) * side >= -radius - 1e-12) & (cells * side <= radius + 1e-12)
@@ -392,15 +606,6 @@ def _slot_gaps(cells: np.ndarray, grid: GridSpec, radius: float) -> tuple[np.nda
     return inside, gap_sq
 
 
-def _support_cells(plan: TransportPlan) -> tuple[list[CellTuple], np.ndarray]:
-    """The plan's support, and the same atoms as an (atoms, N, d) array."""
-    support = plan.support()
-    cells = np.array(support, dtype=np.int64).reshape(
-        len(support), plan.n_marginals, plan.grid.dimension
-    )
-    return support, cells
-
-
 def diagonal_clearance(plan: TransportPlan, window_radius: float | None = None) -> float:
     """Smallest pairwise guaranteed distance among plan atoms in the window.
 
@@ -410,7 +615,7 @@ def diagonal_clearance(plan: TransportPlan, window_radius: float | None = None) 
     """
     grid = plan.grid
     R = grid.window_halfwidth if window_radius is None else float(window_radius)
-    inside, gap_sq = _slot_gaps(_support_cells(plan)[1], grid, R)
+    inside, gap_sq = _slot_gaps(plan.arrays[0], grid, R)
     if not inside.any():
         return math.inf
     return grid.cell_side * math.sqrt(int(gap_sq[inside].min()))
@@ -483,12 +688,15 @@ def _axis_samples(dimension: int) -> int:
     return s
 
 
-def _ball_mass_profile(measure: DiscreteMeasure, center: np.ndarray):
-    """Sorted distances and cumulative masses of cell-smeared samples.
+def _ball_mass_profiles(measure: DiscreteMeasure, centers, limit: float = math.inf):
+    """For each center, the sorted distances and cumulative masses of the
+    cell-smeared samples closer to it than limit.
 
     Each support cell's weight is spread uniformly over s**d midpoint
     samples, which makes the mass of a ball continuous in the radius and
-    stable across refinement levels.
+    stable across refinement levels.  The samples are sorted stably, so
+    the profile below limit is the same prefix, bitwise, that sorting all
+    samples gives.
     """
     grid = measure.grid
     d = grid.dimension
@@ -497,14 +705,31 @@ def _ball_mass_profile(measure: DiscreteMeasure, center: np.ndarray):
     offs = (np.arange(s) + 0.5) * (side / s)
     local = np.stack(np.meshgrid(*([offs] * d), indexing="ij"), axis=-1).reshape(-1, d)
     support = measure.support()
-    lows = (np.array(support, dtype=float) - 1.0) * side
-    pts = (lows[:, None, :] + local[None, :, :]).reshape(-1, d)
-    w = np.repeat(
-        np.array([measure.atoms[c] for c in support]) / local.shape[0], local.shape[0]
-    )
-    dist = np.sqrt(((pts - center[None, :]) ** 2).sum(axis=1))
-    order = np.argsort(dist, kind="stable")
-    return dist[order], np.cumsum(w[order])
+    all_lows = (np.array(support, dtype=float) - 1.0) * side
+    all_w = np.array([measure.atoms[c] for c in support])
+    profiles = []
+    for center in centers:
+        lows, cell_w = all_lows, all_w
+        if math.isfinite(limit):
+            # no sample of a cell whose center lies a cell diagonal beyond
+            # limit comes closer than limit
+            gap = np.sqrt(((lows + 0.5 * side - center[None, :]) ** 2).sum(axis=1))
+            kept = gap < limit + side * math.sqrt(d)
+            lows, cell_w = lows[kept], cell_w[kept]
+        pts = (lows[:, None, :] + local[None, :, :]).reshape(-1, d)
+        w = np.repeat(cell_w / local.shape[0], local.shape[0])
+        dist = np.sqrt(((pts - center[None, :]) ** 2).sum(axis=1))
+        near = dist < limit
+        dist, w = dist[near], w[near]
+        order = np.argsort(dist, kind="stable")
+        profiles.append((dist[order], np.cumsum(w[order])))
+    return profiles
+
+
+# The radius search of bound_parameters: from a quarter of the clearance
+# down a geometric ladder of _LADDER_STEPS radii, each 2**-1/8 of the last.
+_LADDER_STEPS = 2000
+_LADDER_RATIO = 2.0**-0.125
 
 
 def bound_parameters(
@@ -530,7 +755,7 @@ def bound_parameters(
     side = grid.cell_side
     R = float(window_radius)
 
-    support, cells = _support_cells(plan)
+    cells, w = plan.arrays
     inside, gap_sq = _slot_gaps(cells, grid, R)
     ids = np.flatnonzero(inside)
     if ids.size == 0 or gap_sq[ids].max() == 0:
@@ -540,33 +765,33 @@ def bound_parameters(
     # np.argmax takes the first maximum: the first atom, in support order,
     # of the largest separation
     best = int(ids[np.argmax(gap_sq[ids])])
-    best_cells = support[best]
     best_sep = side * math.sqrt(int(gap_sq[best]))
     # cumsum adds in support order, one atom after another
-    window_mass = float(np.cumsum([plan.atoms[support[i]] for i in ids.tolist()])[-1])
+    window_mass = float(np.cumsum(w[ids])[-1])
 
     alpha = side * math.sqrt(int(gap_sq[ids].min()))
     # a touching atom elsewhere zeroes the clearance; anchor the radius cap
     # on the selected atom's own separation then
     alpha_eff = alpha if alpha > 0.0 else best_sep
-    centers = [grid.cell_center(c) for c in best_cells]
+    centers = [grid.cell_center(c) for c in _atom_key(cells[best])]
     k = pointwise_cost(model, centers) / n
 
     threshold = m_fraction * window_mass / 4.0
-    profiles = [_ball_mass_profile(measure, np.array(c)) for c in centers]
-
-    r = alpha_eff / 4.0
-    ratio = 2.0**-0.125
-    for _ in range(2000):
-        mass = 0.0
-        for dist, cum in profiles:
-            idx = np.searchsorted(dist, r, side="left")
-            if idx > 0:
-                mass += float(cum[idx - 1])
-        if mass < threshold:
-            return r, k
-        r *= ratio
-    raise NumericalBreakdown("ball-mass radius search did not terminate")
+    # every radius tried is at most r0, so only samples closer than r0 count;
+    # accumulate reproduces r *= ratio step by step
+    r0 = alpha_eff / 4.0
+    radii = np.multiply.accumulate(np.r_[r0, np.full(_LADDER_STEPS - 1, _LADDER_RATIO)])
+    mass = np.zeros(_LADDER_STEPS)
+    for dist, cum in _ball_mass_profiles(measure, [np.array(c) for c in centers], r0):
+        idx = np.searchsorted(dist, radii, side="left")
+        part = np.zeros(_LADDER_STEPS)
+        hit = idx > 0
+        part[hit] = cum[idx[hit] - 1]
+        mass += part
+    below = np.flatnonzero(mass < threshold)
+    if below.size == 0:
+        raise NumericalBreakdown("ball-mass radius search did not terminate")
+    return float(radii[below[0]]), k
 
 
 def swap_improve(
@@ -683,57 +908,104 @@ def swap_improve(
 
 def save_plan(plan: TransportPlan, path) -> None:
     g = plan.grid
+    cells, w = plan.arrays
     lines = [
         f"{_HEADER_PLAN} level={g.level} halfwidth={g.window_halfwidth!r} "
         f"dim={g.dimension} N={plan.n_marginals}"
     ]
-    for cells in plan.support():
-        coords = " ".join(str(a) for c in cells for a in c)
-        lines.append(f"{coords} {plan.atoms[cells]!r}")
+    line = " ".join(["%d"] * (plan.n_marginals * g.dimension)) + " %r"
+    rows = cells.reshape(cells.shape[0], -1).tolist()
+    lines += [line % (*row, x) for row, x in zip(rows, w.tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_plan(path) -> TransportPlan:
+def _read_body(path, header: str) -> tuple[list[str], GridSpec, int]:
+    """Comment-free nonempty lines after the header, the grid, and N."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     body = [ln for ln in (_strip_comment(l) for l in lines) if ln]
     if not body:
         raise ParseError(f"{path}: empty file")
-    fields = _parse_header(body[0], _HEADER_PLAN, ("level", "halfwidth", "dim", "N"))
+    fields = _parse_header(body[0], header, ("level", "halfwidth", "dim", "N"))
     try:
         grid = GridSpec(int(fields["level"]), float(fields["halfwidth"]), int(fields["dim"]))
         n = int(fields["N"])
     except ValueError as exc:
         raise ParseError(f"{path}: bad header: {exc}") from exc
+    return body[1:], grid, n
+
+
+def _numeric_rows(path, lines: list[str], width: int, expected: str):
+    """Parse lines of width - 1 integers and one float each.
+
+    Returns (ints, floats, malformed): an int64 (rows, width - 1) array
+    and a float array for the lines before the first malformed one, and
+    that line's ParseError (None if every line parses).  expected is the
+    message for a line of the wrong length, with {!r} for the line.
+    """
+    ints: list[int] = []
+    floats: list[float] = []
+    malformed = None
+    for ln in lines:
+        parts = ln.split()
+        if len(parts) != width:
+            malformed = ParseError(f"{path}: " + expected.format(ln))
+            break
+        try:
+            row = list(map(int, parts[:-1]))
+            value = float(parts[-1])
+        except ValueError as exc:
+            malformed = ParseError(f"{path}: {exc}")
+            malformed.__cause__ = exc
+            break
+        ints += row
+        floats.append(value)
+    rows = np.array(ints, dtype=np.int64).reshape(len(floats), width - 1)
+    return rows, np.array(floats, dtype=float), malformed
+
+
+def _first_failure(*masks: np.ndarray) -> tuple[int, int] | None:
+    """(line, check) of the first line failing any check, and the first
+    check it fails, for per-line failure masks given in check order."""
+    bad = np.stack(masks)
+    lines = np.flatnonzero(bad.any(axis=0))
+    if lines.size == 0:
+        return None
+    line = int(lines[0])
+    return line, int(np.argmax(bad[:, line]))
+
+
+def load_plan(path) -> TransportPlan:
+    """Read a mmot-plan v1 file.  Lines are checked in file order, and a
+    line's checks in the order length, numbers, window, duplicate atom,
+    weight; the first failure is raised."""
+    lines, grid, n = _read_body(path, _HEADER_PLAN)
     if n < 2:
         raise ParseError(f"{path}: N must be >= 2")
     d = grid.dimension
-    atoms: dict[CellTuple, float] = {}
-    for ln in body[1:]:
-        parts = ln.split()
-        if len(parts) != n * d + 1:
-            raise ParseError(f"{path}: expected {n * d} indices and a weight, got {ln!r}")
-        try:
-            flat = [int(p) for p in parts[: n * d]]
-            w = float(parts[n * d])
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        cells = tuple(tuple(flat[i * d : (i + 1) * d]) for i in range(n))
-        for c in cells:
-            if not grid.contains_cell(c):
-                raise ParseError(f"{path}: cell {c!r} outside the window")
-        if cells in atoms:
-            raise ParseError(f"{path}: duplicate atom {cells!r}")
-        if not w > 0:
-            raise NegativeWeight(f"{path}: weight {w!r} must be positive")
-        atoms[cells] = w
-    if not atoms:
+    flat, w, malformed = _numeric_rows(
+        path, lines, n * d + 1, f"expected {n * d} indices and a weight, got {{!r}}"
+    )
+    cells = flat.reshape(-1, n, d)
+    outside = _outside(grid, cells)
+    failure = _first_failure(outside.any(axis=1), _unique_rows(flat)[2], ~(w > 0))
+    if failure is not None:
+        i, check = failure
+        if check == 0:
+            slot = int(np.argmax(outside[i]))
+            raise ParseError(f"{path}: cell {tuple(cells[i, slot].tolist())!r} outside the window")
+        if check == 1:
+            raise ParseError(f"{path}: duplicate atom {_atom_key(cells[i])!r}")
+        raise NegativeWeight(f"{path}: weight {float(w[i])!r} must be positive")
+    if malformed is not None:
+        raise malformed
+    if w.size == 0:
         raise ParseError(f"{path}: no atoms")
-    total = math.fsum(atoms.values())
+    total = math.fsum(w.tolist())
     if abs(total - 1.0) > 1e-9:
         raise NormalizationError(f"{path}: plan mass {total!r} too far from 1")
-    plan = TransportPlan(grid, n, dict(sorted(atoms.items())))
+    plan = TransportPlan.from_arrays(grid, n, cells, w)
     try:
         plan.validate()
     except ValueError as exc:
@@ -747,43 +1019,41 @@ def save_potentials(potentials: PotentialVector, path) -> None:
         f"{_HEADER_POTENTIALS} level={g.level} halfwidth={g.window_halfwidth!r} "
         f"dim={g.dimension} N={potentials.n_marginals}"
     ]
+    line = " ".join(["%d"] * (g.dimension + 1)) + " %r"
     for i, vals in enumerate(potentials.values):
-        for cell in sorted(vals):
-            coords = " ".join(str(a) for a in cell)
-            lines.append(f"{i + 1} {coords} {vals[cell]!r}")
+        lines += [line % (i + 1, *c, vals[c]) for c in sorted(vals)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_potentials(path) -> PotentialVector:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    body = [ln for ln in (_strip_comment(l) for l in lines) if ln]
-    if not body:
-        raise ParseError(f"{path}: empty file")
-    fields = _parse_header(body[0], _HEADER_POTENTIALS, ("level", "halfwidth", "dim", "N"))
-    try:
-        grid = GridSpec(int(fields["level"]), float(fields["halfwidth"]), int(fields["dim"]))
-        n = int(fields["N"])
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad header: {exc}") from exc
+    """Read a mmot-potentials v1 file.  Lines are checked in file order,
+    and a line's checks in the order length, numbers, marginal index,
+    window, duplicate entry; the first failure is raised."""
+    lines, grid, n = _read_body(path, _HEADER_POTENTIALS)
     d = grid.dimension
-    values: list[dict[Cell, float]] = [dict() for _ in range(n)]
-    for ln in body[1:]:
-        parts = ln.split()
-        if len(parts) != d + 2:
-            raise ParseError(f"{path}: expected marginal, {d} indices, value; got {ln!r}")
-        try:
-            slot = int(parts[0])
-            cell = tuple(int(p) for p in parts[1 : d + 1])
-            v = float(parts[d + 1])
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        if not 1 <= slot <= n:
+    rows, vals, malformed = _numeric_rows(
+        path, lines, d + 2, f"expected marginal, {d} indices, value; got {{!r}}"
+    )
+    slots, cells = rows[:, 0], rows[:, 1:]
+    failure = _first_failure(
+        (slots < 1) | (slots > n), _outside(grid, cells), _unique_rows(rows)[2]
+    )
+    if failure is not None:
+        i, check = failure
+        slot, cell = int(slots[i]), tuple(cells[i].tolist())
+        if check == 0:
             raise ParseError(f"{path}: marginal index {slot} out of range 1..{n}")
-        if not grid.contains_cell(cell):
+        if check == 1:
             raise ParseError(f"{path}: cell {cell!r} outside the window")
-        if cell in values[slot - 1]:
-            raise ParseError(f"{path}: duplicate entry for marginal {slot}, cell {cell!r}")
-        values[slot - 1][cell] = v
-    return PotentialVector(grid, tuple({c: vals[c] for c in sorted(vals)} for vals in values))
+        raise ParseError(f"{path}: duplicate entry for marginal {slot}, cell {cell!r}")
+    if malformed is not None:
+        raise malformed
+    order = np.lexsort(rows.T[::-1])
+    rows, vals = rows[order], vals[order].tolist()
+    starts = np.searchsorted(rows[:, 0], np.arange(1, n + 2)).tolist()
+    values = tuple(
+        dict(zip(map(tuple, rows[lo:hi, 1:].tolist()), vals[lo:hi]))
+        for lo, hi in zip(starts[:-1], starts[1:])
+    )
+    return PotentialVector(grid, values)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, stream discipline, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,9 @@ from mmot.measure import FiniteAtomic, TruncatedGaussian, UniformBall
 from mmot.transport import load_plan, load_potentials
 
 TWO_ATOMS = "atoms:a=0,0,0:w=0.5;b=2,0,0:w=0.5"
+# the d = 2 acceptance atoms, whose positions lie off their cell centers
+OFF_CENTER_ATOMS = "atoms:a=-0.8,-0.2:w=1;b=0.1,0.6:w=1;c=0.7,-0.5:w=1"
+DATA = Path(__file__).parent / "data"
 
 
 def _run(capsys, argv):
@@ -377,3 +381,59 @@ def test_threads_and_seed_flags_accepted(capsys):
     )
     assert code == 0
     assert json.loads(out)["relative_gap"] <= 1e-8
+
+
+def test_verify_pointwise_needs_the_solved_positions(capsys, tmp_path):
+    plan_path = tmp_path / "out.plan"
+    pot_path = tmp_path / "out.potentials"
+    code, _, _ = _run(
+        capsys,
+        [
+            "solve", "--density", OFF_CENTER_ATOMS, "--N", "2", "--level", "3",
+            "--R", "1", "--out", str(plan_path), "--potentials", str(pot_path),
+        ],
+    )
+    assert code == 0
+    verify = [
+        "verify", "--plan", str(plan_path), "--potentials", str(pot_path),
+        "--cost-mode", "pointwise",
+    ]
+    # cell centers are not where solve priced the atoms
+    code, out, err = _run(capsys, verify)
+    assert code == 4
+    assert "duality gap" in err
+    code, out, err = _run(capsys, verify + ["--density", OFF_CENTER_ATOMS])
+    assert code == 0
+    assert "relative_gap=0.0\n" in out
+    assert "verify: OK" in err
+    # atoms default to pointwise pricing, as in solve
+    code, out, _ = _run(capsys, verify[:-2] + ["--density", OFF_CENTER_ATOMS])
+    assert code == 0
+    assert "cost_mode=pointwise" in out
+    code, _, err = _run(capsys, verify + ["--density", "atoms:a=0.1:w=1"])
+    assert code == 2
+    assert "dimension" in err
+
+
+# Files written by `mmot solve` before plans were array-backed; every byte
+# of the plan, the potentials and stdout must stay the same.
+GOLDEN = {
+    "ball1d_L4": ["--density", "ball:center=0:radius=1", "--level", "4"],
+    "ball3d_L1": ["--density", "ball:center=0,0,0:radius=1", "--level", "1"],
+    "atoms2d_L3": ["--density", OFF_CENTER_ATOMS, "--level", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_solve_output_matches_golden_files(capsys, tmp_path, name):
+    plan_path = tmp_path / "out.plan"
+    pot_path = tmp_path / "out.potentials"
+    code, out, _ = _run(
+        capsys,
+        ["solve", *GOLDEN[name], "--N", "2", "--R", "1",
+         "--out", str(plan_path), "--potentials", str(pot_path)],
+    )
+    assert code == 0
+    assert out == (DATA / f"solve_{name}.stdout").read_text()
+    assert plan_path.read_bytes() == (DATA / f"solve_{name}.plan").read_bytes()
+    assert pot_path.read_bytes() == (DATA / f"solve_{name}.potentials").read_bytes()

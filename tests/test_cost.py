@@ -10,7 +10,6 @@ from mmot.cost import (
     CostModel,
     cell_cost_lower,
     coulomb,
-    is_permutation_invariant_check,
     pair_recip_matrix,
     pair_recip_matrix_points,
     pointwise_cost,
@@ -20,6 +19,14 @@ from mmot.cost import (
 from mmot.grid import GridSpec, cell_of, children, pairwise_gap_sq
 
 from oracles import pairwise_interaction
+
+
+def is_permutation_invariant_check(model, cells, grid) -> bool:
+    """Evaluate cell_cost_lower on every reordering and compare exactly."""
+    ref = cell_cost_lower(model, cells, grid)
+    return all(
+        cell_cost_lower(model, perm, grid) == ref for perm in itertools.permutations(cells)
+    )
 
 
 def test_model_validation():

@@ -180,3 +180,28 @@ def test_scale_instance_certified():
     assert report.relative_gap <= 1e-8
     assert report.max_dual_violation <= DUAL_FEAS_TOL
     assert report.primal_value == value
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_plan_lift_matches_the_per_orbit_loop(d, n):
+    # the lift spreads a basic orbit's mass x over its distinct sorted
+    # images, (x / images) apiece, then over the N cyclic shifts of each,
+    # (share / N) apiece, summing repeats in that order from 0.0
+    mu = discretize(UniformBall(center=(0.0,) * d, radius=1.0), GridSpec(1, 1.0, d))
+    perms = _group_of(mu, n)
+    sym = Symmetry(perms)
+    pool = sym.representatives(n, False)
+    rng = np.random.default_rng(10 * d + n)
+    picks = rng.choice(pool.shape[0], size=min(40, pool.shape[0]), replace=False)
+    primal = {int(j): float(x) for j, x in zip(picks, rng.uniform(0.01, 1.0, size=picks.size))}
+    want: dict[tuple[int, ...], float] = {}
+    for j, x in primal.items():
+        images = sorted(set(map(tuple, np.sort(perms[:, pool[j]], axis=1).tolist())))
+        share = x / len(images)
+        for t in images:
+            for s in range(n):
+                shift = t[s:] + t[:s]
+                want[shift] = want.get(shift, 0.0) + share / n
+    idx, x = lp._lift_plan(primal, pool, perms, (perms.shape[1],) * n)
+    assert [tuple(t) for t in idx.tolist()] == sorted(want)
+    assert x.tolist() == [want[t] for t in sorted(want)]

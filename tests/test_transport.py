@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from mmot.cost import coulomb, pointwise_cost
+from mmot.cost import (
+    cell_cost_lower,
+    coulomb,
+    pair_recip_matrix,
+    pair_recip_matrix_points,
+    pointwise_cost,
+    power_law,
+)
 from mmot.errors import (
     DimensionMismatch,
     EmptyRestriction,
@@ -39,7 +46,7 @@ from mmot.transport import (
     symmetrize_potentials,
     verify_duality,
 )
-from mmot.transport import _ball_mass_profile
+from mmot.transport import _ball_mass_profiles
 
 G1 = GridSpec(level=1, window_halfwidth=1.0, dimension=1)
 
@@ -213,7 +220,7 @@ def _bound_parameters_loop(plan, model, R, m_fraction=0.1):
     alpha = min(sep for _, _, sep in atoms)
     r = (alpha if alpha > 0.0 else best_sep) / 4.0
     centers = [plan.grid.cell_center(c) for c in best_cells]
-    profiles = [_ball_mass_profile(plan_measure(plan), np.array(c)) for c in centers]
+    profiles = _ball_mass_profiles(plan_measure(plan), [np.array(c) for c in centers])
     while True:
         mass = 0.0
         for dist, cum in profiles:
@@ -411,4 +418,203 @@ def test_potentials_file_errors(tmp_path):
         path = tmp_path / name
         path.write_text(text)
         with pytest.raises(exc):
+            load_potentials(path)
+
+
+# ---------------------------------------------------------------------------
+# The array view against per-atom references: every atom priced by one
+# cell_cost_lower or pointwise_cost call, every sum a math.fsum, marginals
+# accumulated atom by atom in sorted atom order.
+
+
+def _ref_slab_excess(u_mat, recip):
+    """max_dual_excess as one freshly allocated slab per prefix."""
+    n, m = u_mat.shape
+    best = -math.inf
+    tail = u_mat[n - 2][:, None] + u_mat[n - 1][None, :]
+    for prefix in itertools.product(range(m), repeat=n - 2):
+        const = 0.0
+        for a in range(len(prefix)):
+            for b in range(a + 1, len(prefix)):
+                const += recip[prefix[a], prefix[b]]
+        vec = np.zeros(m)
+        u_pre = 0.0
+        for a, pa in enumerate(prefix):
+            vec += recip[pa, :]
+            u_pre += u_mat[a, pa]
+        excess = (u_pre - const) + tail - (vec[:, None] + vec[None, :] + recip)
+        best = max(best, float(np.max(excess)))
+    return best
+
+
+def _ref_report(plan, pots, model, mode, positions):
+    """Every DualityReport number, atom by atom."""
+    grid, n = plan.grid, plan.n_marginals
+
+    def point(c):
+        return positions[c] if positions is not None and c in positions else grid.cell_center(c)
+
+    priced = []
+    for cells, w in sorted(plan.atoms.items()):
+        if mode == "cell":
+            priced.append((cells, w, cell_cost_lower(model, cells, grid)))
+        else:
+            priced.append((cells, w, pointwise_cost(model, [point(c) for c in cells])))
+    if any(math.isinf(c) for _, _, c in priced):
+        primal = math.inf
+    else:
+        primal = math.fsum(w * c for _, w, c in priced)
+    weights = {}
+    for cells, w, _ in priced:
+        weights[cells[0]] = weights.get(cells[0], 0.0) + w
+    support = sorted(weights)
+    dual = math.fsum(pots.values[i][c] * weights[c] for i in range(n) for c in support)
+    slack = 0.0
+    for cells, _, c in priced:
+        u_sum = math.fsum(pots.values[i][cells[i]] for i in range(n))
+        if not math.isinf(c):
+            slack = max(slack, c - u_sum)
+    u_mat = np.array([[pots.values[i][c] for c in support] for i in range(n)])
+    if mode == "cell":
+        recip = pair_recip_matrix(model, grid, np.array(support))
+    else:
+        recip = pair_recip_matrix_points(model, np.array([point(c) for c in support]))
+    R = grid.window_halfwidth
+    alpha = min((sep for _, _, sep in _window_atoms(plan, R)), default=math.inf)
+    cells_all = sorted(set().union(*pots.values))
+    pot_sup = max(abs(math.fsum(v[c] for v in pots.values) / n) for c in cells_all)
+    try:
+        r, k = _bound_parameters_loop(plan, model, R)
+        bound = potential_bound(n, r, k)
+        satisfied = pot_sup <= bound + 1e-12
+    except NoOffDiagonalSupport:
+        r, k, bound, satisfied = math.nan, math.nan, math.nan, False
+    return {
+        "primal_value": primal,
+        "dual_value": dual,
+        "relative_gap": abs(primal - dual) / (1.0 + abs(primal)),
+        "max_slackness_violation": max(slack, 0.0),
+        "diagonal_clearance_alpha": alpha,
+        "potential_bound": bound,
+        "potential_bound_satisfied": satisfied,
+        "max_dual_violation": max(_ref_slab_excess(u_mat, recip), 0.0),
+        "potential_sup": pot_sup,
+        "bound_radius": r,
+        "bound_level_constant": k,
+    }
+
+
+def _same(a, b) -> bool:
+    """Bitwise equality of two report values."""
+    if isinstance(a, float) or isinstance(b, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    return a == b
+
+
+def _random_plan(rng, grid, n, apart):
+    """Distinct random atoms over six cells, in random insertion order,
+    with positive weights summing to about one; with apart, no atom
+    repeats a cell (finite pointwise cost), else some do."""
+    lo, hi = grid.index_range
+    pool = [tuple(int(a) for a in rng.integers(lo, hi + 1, size=grid.dimension)) for _ in range(6)]
+    atoms = {
+        tuple(pool[int(i)] for i in rng.choice(len(pool), size=n, replace=not apart))
+        for _ in range(int(rng.integers(1, 25)))
+    }
+    keys = list(atoms)
+    rng.shuffle(keys)
+    w = rng.uniform(0.1, 1.0, size=len(keys))
+    return TransportPlan(grid, n, dict(zip(keys, (w / w.sum()).tolist())))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_array_view_matches_per_atom_reference(n, d):
+    rng = np.random.default_rng(100 * n + d)
+    for trial in range(8):
+        grid = GridSpec(level=1 + trial % 2, window_halfwidth=1.0, dimension=d)
+        plan = _random_plan(rng, grid, n, apart=trial >= 4)
+        cells = sorted(set().union(*[set(t) for t in plan.atoms]))
+        pots = PotentialVector(
+            grid, tuple({c: float(rng.normal()) for c in cells} for _ in range(n))
+        )
+        side = grid.cell_side
+        inside = {
+            c: tuple((a - 1 + float(rng.uniform(0.05, 0.95))) * side for a in c) for c in cells
+        }
+        model = coulomb(n) if trial % 3 else power_law(1.5, n)
+        for mode, positions in (("cell", None), ("pointwise", None), ("pointwise", inside)):
+            want = _ref_report(plan, pots, model, mode, positions)
+            assert _same(plan_cost(plan, model, cost_mode=mode, positions=positions),
+                         want["primal_value"])
+            got = verify_duality(plan, pots, model, cost_mode=mode, positions=positions).as_dict()
+            for key, value in want.items():
+                assert _same(got[key], value), (key, got[key], value)
+        marg = {}
+        for t, w in sorted(plan.atoms.items()):
+            marg[t[-1]] = marg.get(t[-1], 0.0) + w
+        assert plan.marginal(n - 1) == dict(sorted(marg.items()))
+
+
+def test_array_view_is_sorted_and_typed():
+    plan = TransportPlan(G1, 2, {((2,), (-1,)): 0.25, ((-1,), (2,)): 0.75})
+    cells, w = plan.arrays
+    assert cells.dtype == np.int64 and cells.shape == (2, 2, 1)
+    assert cells.tolist() == [[[-1], [2]], [[2], [-1]]]
+    assert w.tolist() == [0.75, 0.25]
+    assert plan.arrays is plan.arrays
+    back = TransportPlan.from_arrays(G1, 2, cells[::-1], w[::-1])
+    assert list(back.atoms) == [((-1,), (2,)), ((2,), (-1,))]
+    assert back.arrays[0].tolist() == cells.tolist()
+
+
+@pytest.mark.parametrize(
+    "atoms, match",
+    [
+        ({((-1,), (3,)): 0.5, ((3,), (-1,)): 0.5}, "not a valid index"),
+        ({((-1,), (2,), (2,)): 1.0}, "slots"),
+        ({((-1,), (2,)): 1.0, ((2, 0), (-1,)): 0.0}, "slots"),
+        ({((-1,), (2,)): 0.5, ((2,), (-1,)): 0.5, ((1,), (1,)): 0.0}, "nonpositive"),
+        ({((-1,), (2,)): 1.5, ((2,), (-1,)): -0.5}, "nonpositive"),
+        ({((-1,), (2,)): 0.7, ((2,), (-1,)): 0.3}, "marginal 1"),
+        ({((-1,), (2,)): 0.5, ((2,), (-1,)): 0.4}, "plan mass"),
+    ],
+)
+def test_validate_rejects(atoms, match):
+    with pytest.raises(ValueError, match=match):
+        TransportPlan(G1, 2, atoms).validate()
+
+
+def test_plan_file_errors_by_line(tmp_path):
+    head = "mmot-plan v1 level=1 halfwidth=1.0 dim=1 N=2\n"
+    cases = {
+        "float.plan": (head + "-1 2 0.5\n2 -1.5 0.5\n", ParseError, "invalid literal"),
+        "slot2.plan": (head + "-1 2 0.5\n2 5 0.5\n", ParseError, r"cell \(5,\) outside"),
+        # a NaN weight is not positive: the same error as a negative one
+        "nan.plan": (head + "-1 2 nan\n2 -1 0.5\n", NegativeWeight, "nan"),
+        # the first bad line decides, whatever its fault
+        "order1.plan": (head + "-1 2 -0.5\n2 x 0.5\n", NegativeWeight, "-0.5"),
+        "order2.plan": (head + "-1 9 0.5\n2 -1 -0.5\n", ParseError, "outside"),
+        "order3.plan": (head + "-1 2 0.5\n-1 2 0.5\n2 -1 0.5 7\n", ParseError, "duplicate"),
+        "order4.plan": (head + "-1 2 0.5\n2 -1\n-1 9 0.5\n", ParseError, "expected 2"),
+    }
+    for name, (text, exc, match) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(exc, match=match):
+            load_plan(path)
+
+
+def test_potentials_file_errors_by_line(tmp_path):
+    head = "mmot-potentials v1 level=1 halfwidth=1.0 dim=1 N=2\n"
+    cases = {
+        "order1.potentials": (head + "1 9 0.5\n3 1 0.5\n", "outside"),
+        "order2.potentials": (head + "3 1 0.5\n1 9 0.5\n", "out of range"),
+        "order3.potentials": (head + "1 1 0.5\n1 1 0.5\n2 x 0.5\n", "duplicate"),
+        "order4.potentials": (head + "1 1 x\n1 9 0.5\n", "could not convert"),
+    }
+    for name, (text, match) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ParseError, match=match):
             load_potentials(path)
