@@ -25,7 +25,7 @@ from .errors import (
     MMOTError,
     OverlappingNeighborhoods,
 )
-from .grid import GridSpec, children, inf_dist
+from .grid import GridSpec, inf_dist
 from .lp import solve_mmot
 from .measure import Density, DiscreteMeasure, FiniteAtomic, discretize
 from .transport import TransportPlan, plan_cost, product_plan_cost, verify_duality
@@ -99,27 +99,6 @@ class ConvergenceTable:
         return out
 
 
-def _warm_start_columns(plan: TransportPlan, support: set, per_atom_cap: int = 256):
-    """Refinement warm start: all combinations of children of a coarse
-    atom's cells that survive in the finer support, capped per atom."""
-    from itertools import islice, product as iter_product
-
-    cols = []
-    for cells in plan.support():
-        kid_lists = []
-        ok = True
-        for c in cells:
-            kids = [k for k in children(c) if k in support]
-            if not kids:
-                ok = False
-                break
-            kid_lists.append(kids)
-        if not ok:
-            continue
-        cols.extend(islice(iter_product(*kid_lists), per_atom_cap))
-    return cols
-
-
 def converge(
     density: Density,
     model: CostModel,
@@ -132,7 +111,6 @@ def converge(
     gap_tol: float = 1e-8,
     feas_tol: float = 1e-9,
     cost_mode: str = "cell",
-    warm_start: bool = True,
 ) -> ConvergenceTable:
     """Discretize, solve, and audit the same density at several levels.
 
@@ -152,7 +130,6 @@ def converge(
             dimension = len(density.center)
     finest = levels[-1]
     rows: list[ConvergenceRow] = []
-    prev_plan: TransportPlan | None = None
     finest_measure: DiscreteMeasure | None = None
     for n in levels:
         grid = GridSpec(n, window_halfwidth, dimension)
@@ -160,16 +137,12 @@ def converge(
         try:
             spa = min(samples_base * 2 ** (finest - n), 128)
             measure = discretize(density, grid, samples_per_axis=spa)
-            init = None
-            if warm_start and prev_plan is not None:
-                init = _warm_start_columns(prev_plan, set(measure.support()))
             plan, potentials, value = solve_mmot(
                 measure,
                 model,
                 cost_mode=cost_mode,
                 feas_tol=feas_tol,
                 gap_tol=gap_tol,
-                init_columns=init,
             )
             report = verify_duality(
                 plan,
@@ -195,7 +168,6 @@ def converge(
                     bound_constant=report.bound_level_constant,
                 )
             )
-            prev_plan = plan
             finest_measure = measure
         except MMOTError as exc:
             ms = (time.perf_counter() - t0) * 1000.0

@@ -34,15 +34,26 @@ the rows of the inverse where the direction is nonzero; the inverse is
 refactorized once any row has taken a fixed number of updates since the
 last factorization, or after a tiny pivot.  Entering columns come from a
 candidate queue refreshed by full deterministic scans (partial pricing);
-optimality is always confirmed by a full scan.  The coincident multiset
-(r, ..., r) of an orbit representative r has column N e_Q, so wherever
-its cost is finite it hosts row Q in a feasible starting basis; the
-other rows start on artificial columns and go through phase 1.
-Artificial columns carry stable negative ids so the column pool can grow
-between re-optimizations without renumbering.  In cell mode the
-coincident columns span every row; in pointwise mode a redundant row
-(N = m, say) keeps a zero-level artificial in the basis, which pins that
-row's dual to zero.
+optimality is always confirmed by a full scan.
+
+The simplex starts at the quantile-shift coupling in support order,
+t -> (F^-1(t), F^-1(t + 1/N), ..., F^-1(t + (N-1)/N)) with F the
+cumulative weight, which is optimal on the line (Colombo, De Pascale and
+Di Marino, Canad. J. Math. 2015) and a feasible coupling in any
+dimension.  It is piecewise constant in t, and the canonical orbits of
+its pieces form a feasible point of the orbit LP, because the counts
+count_Q are constant on an orbit.  A crash reduces that point to a basic
+feasible solution of no higher cost: the orbit columns are placed one by
+one into a basis of artificials, each on the free row of its largest
+entry, and a column that depends on those already placed moves mass
+along the dependency, in the direction that does not raise the cost
+(mass on artificials counting first), until a column empties.  Rows left free keep zero-level artificials, so
+phase 1 runs only when an artificial carries mass, which happens only
+when a pointwise piece repeats a cell (a weight inside the 1e-12 guard
+above 1/N).  Artificial columns carry stable negative ids so the column
+pool can grow between re-optimizations without renumbering; a
+zero-level artificial that no column can replace (a redundant row)
+pins that row's dual to zero.
 
 Column generation prices every ordered support tuple against the lifted
 potential in vectorized two-dimensional slabs and injects the orbit
@@ -86,9 +97,12 @@ _MAX_ITERS = 500_000
 _CANDIDATES = 1024
 _SCAN_CHUNK = 32_768
 
-# pools of more multiset orbits than this start from the diagonal coupling
-# instead of every orbit of the support
+# pools of more multiset orbits than this start from the orbits of the
+# quantile-shift pieces instead of every orbit of the support
 _POOL_CAP = 1_100_000
+# quantile-shift breakpoints closer than this merge: round-off in the
+# cumulative weights leaves no sliver piece that repeats a cell
+_SLIVER = 1e-13
 _PRICE_BATCH = 50
 _MAX_ROUNDS = 2_000
 
@@ -254,17 +268,6 @@ class _MultisetColumns:
         self.sorted_codes.sort()
         return added
 
-    def diagonal_basis(self) -> list[int]:
-        """Starting basis: the coincident column (r, ..., r) of the
-        representative r of cell orbit Q, which is N times the unit vector
-        of row Q, wherever it is pooled, and the artificial of row Q
-        elsewhere.  Both are feasible for b = N w(Q)."""
-        orbit = self.sym.cell_orbit
-        basis = [-(q + 1) for q in range(self.sym.reps.size)]
-        for j in np.flatnonzero((self.pool == self.pool[:, :1]).all(axis=1)):
-            basis[int(orbit[self.pool[j, 0]])] = int(j)
-        return basis
-
     def column(self, j: int) -> np.ndarray:
         orbit = self.sym.cell_orbit
         return np.bincount(orbit[self.pool[j]], minlength=self.sym.reps.size).astype(float)
@@ -366,6 +369,20 @@ def price_columns(
     return np.array(list(found.values()), dtype=np.int64).reshape(-1, n)
 
 
+def _exchange(Binv: np.ndarray, leave: int, d: np.ndarray) -> np.ndarray:
+    """Update the basis inverse Binv in place for the column with direction
+    d = B^-1 a entering at row leave; returns the rows where d is nonzero,
+    the only ones rewritten."""
+    Binv[leave] /= d[leave]
+    # The dense update subtracts exact zeros from the rows where d is
+    # exactly zero, so leaving those rows out keeps the inverse bitwise
+    # equal to it; a threshold on |d| would drop small real terms.
+    touched = np.flatnonzero(d)
+    rows = touched[touched != leave]
+    Binv[rows] -= np.outer(d[rows], Binv[leave])
+    return touched
+
+
 class _Unbounded(Exception):
     def __init__(self, ray):
         self.ray = ray
@@ -389,10 +406,12 @@ class _SimplexEngine:
 
     Rows with negative right-hand side are sign-flipped internally;
     providers always see raw-space row vectors.  Artificial ids are
-    -(row + 1), never renumbered, never re-entered.  An initial_basis of
-    column ids (real or artificial, one per row) may be supplied; it must
-    be nonsingular and primal feasible, and rows whose basic artificial
-    sits at a positive level still go through phase 1.
+    -(row + 1), never renumbered, never re-entered.  The start basis is
+    initial_basis, column ids (real or artificial, one per row), or all
+    artificials when it is None.  It must be nonsingular and primal
+    feasible; phase 1 runs only when a basic artificial sits at a
+    positive level.  solve_transport passes the crash basis of the
+    quantile-shift coupling (_crash_basis).
     """
 
     def __init__(
@@ -508,13 +527,7 @@ class _SimplexEngine:
         self.xB -= theta * d
         self.xB[leave] = theta
         np.clip(self.xB, 0.0, None, out=self.xB)
-        self.Binv[leave] /= piv
-        # The dense update subtracts exact zeros from the rows where d is
-        # exactly zero, so leaving those rows out keeps the inverse bitwise
-        # equal to it; a threshold on |d| would drop small real terms.
-        touched = np.flatnonzero(d)
-        rows = touched[touched != leave]
-        self.Binv[rows] -= np.outer(d[rows], self.Binv[leave])
+        touched = _exchange(self.Binv, leave, d)
         self.row_updates[touched] += 1
         self.basis[leave] = j_in
         self.cB[leave] = self._cost(j_in, self.phase)
@@ -645,7 +658,118 @@ def solve_lp(lp: StandardLP, *, feas_tol: float = _FEAS_TOL) -> LPSolution:
     return LPSolution(status, primal, dual, obj, cert)
 
 
-def _initial_pool(sym: Symmetry, n: int, injective: bool, cap: int) -> np.ndarray:
+def _quantile_pieces(w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The quantile-shift coupling of N copies of w, in support order.
+
+    With G = N F / F(end), F the cumulative weight, cell j holds the
+    positions [G_(j-1), G_j), and t in [0, 1) goes to the cells holding
+    t, t + 1, ..., t + N - 1, a sorted tuple.  That tuple changes only
+    where slot i crosses a cell boundary, at t = G_j - i, so the coupling
+    is constant on the pieces between the breakpoints G mod 1.  Returns
+    the pieces' tuples as an int64 (P, N) array and their lengths, which
+    are their masses: they sum to 1 and give cell j N w_j / sum(w) in
+    total count.  Breakpoints closer than _SLIVER merge, and those within
+    it of 1 join the next period's start, so that a cell of weight at
+    most 1/N repeats in no piece.
+    """
+    G = n * np.cumsum(w) / w.sum()
+    inner = G[:-1]
+    slot = np.minimum(np.floor(inner), n - 1)
+    t = inner - slot
+    # slot i starts past every boundary below i; a boundary at (or within
+    # _SLIVER above) t = 0 moves it in the first piece
+    first = np.searchsorted(inner, np.arange(n), side="left")
+    order = np.argsort(t, kind="stable")
+    t, slot = t[order], slot[order].astype(np.int64)
+    keep = t < 1.0 - _SLIVER
+    t, slot = t[keep], slot[keep]
+    opens = np.diff(t, prepend=0.0) > _SLIVER
+    starts = np.concatenate([[0.0], t[opens]])
+    moves = np.zeros((starts.size, n), dtype=np.int64)
+    np.add.at(moves, (np.cumsum(opens), slot), 1)
+    return first + np.cumsum(moves, axis=0), np.diff(np.append(starts, 1.0))
+
+
+def _crash_basis(
+    prov: _MultisetColumns, b: np.ndarray, codes: np.ndarray, mass: np.ndarray
+) -> list[int]:
+    """A nonsingular, primal feasible start basis for the orbit LP with
+    right-hand side b, whose basic solution costs no more than the plan
+    that puts mass[p] on the orbit whose representative has code codes[p]
+    (ascending) and meets b.
+
+    The plan's orbits are placed one by one into a basis of artificials.
+    A column with an entry on a free row (one whose basic artificial is
+    not in the plan) enters on the free row of its largest entry.  A
+    column without one is a combination of the columns placed; mass then
+    moves along that dependency until the column or one it depends on
+    empties and leaves, in the direction that takes mass off the placed
+    artificials or, when it moves none, does not raise the cost.  The
+    orbits that are not pooled (infinite cost) put their mass on the
+    artificials of their rows, the only mass artificials get.  Pool ids are read off the sorted codes,
+    which is valid while the pool is in code order: before column
+    generation adds to it.
+    """
+    sym, k = prov.sym, b.size
+    pooled = _pooled(prov.sorted_codes, codes)
+    orbits = sym.cell_orbit[np.stack(np.unravel_index(codes, prov.dims), axis=1)]
+    # level[r] is the plan mass on the basic column of row r
+    level = np.zeros(k)
+    np.add.at(level, orbits[~pooled].ravel(), np.repeat(mass[~pooled], prov.n))
+    placed = level > 0.0
+    basis = -np.arange(1, k + 1, dtype=np.int64)
+    cost = np.zeros(k)
+    Binv = np.eye(k)
+    ids = np.searchsorted(prov.sorted_codes, codes[pooled])
+    columns = zip(ids.tolist(), mass[pooled].tolist(), prov.costs[ids].tolist(), orbits[pooled])
+    for j, x, c, at in columns:
+        d = Binv[:, at].sum(axis=1)
+        free = np.abs(d)
+        free[placed] = 0.0
+        leave = int(free.argmax())
+        if free[leave] <= _PIVOT_TOL:
+            # column j is the combination d of the placed columns, so s
+            # more mass on j means s d less on them: s sum(d) less on the
+            # placed artificials, which decides the direction when nonzero,
+            # and a cost change of s (c - cost @ d)
+            d[~placed] = 0.0
+            relief = d[basis < 0].sum()
+            if abs(relief) > _PIVOT_TOL:
+                sign = math.copysign(1.0, relief)
+            else:
+                sign = 1.0 if c <= cost @ d else -1.0
+            leave, theta = _min_ratio(level, sign * d)
+            if sign < 0.0 and theta >= x:
+                # j empties first and stays out
+                level += x * d
+                np.maximum(level, 0.0, out=level)
+                continue
+            level -= sign * theta * d
+            np.maximum(level, 0.0, out=level)
+            level[leave] = x + sign * theta
+        else:
+            level[leave] = x
+        _exchange(Binv, leave, d)
+        basis[leave], cost[leave], placed[leave] = j, c, True
+    return basis.tolist()
+
+
+def _min_ratio(level: np.ndarray, d: np.ndarray) -> tuple[int, float]:
+    """Ratio test: the row r with d[r] > _PIVOT_TOL that minimizes
+    level[r] / d[r], the largest d[r] among ties, and that ratio (inf
+    when no row qualifies)."""
+    ratios = np.divide(level, d, out=np.full(d.size, math.inf), where=d > _PIVOT_TOL)
+    tied = np.flatnonzero(ratios == ratios.min())
+    leave = int(tied[np.argmax(d[tied])])
+    return leave, float(ratios[leave])
+
+
+def _initial_pool(
+    sym: Symmetry, n: int, injective: bool, cap: int, start: np.ndarray
+) -> np.ndarray:
+    """Every multiset orbit of the support, or past the cap the orbits
+    whose representatives have the ascending codes start, from which
+    column generation goes on."""
     count = sym.orbit_count(n, injective)
     if count <= cap:
         return sym.representatives(n, injective)
@@ -654,7 +778,7 @@ def _initial_pool(sym: Symmetry, n: int, injective: bool, cap: int) -> np.ndarra
             f"pointwise mode enumerates all {count} support multiset orbits of "
             f"size {n}, which exceeds the cap {cap}; coarsen the grid or use cell mode"
         )
-    return np.repeat(sym.reps[:, None], n, axis=1)
+    return np.stack(np.unravel_index(start, (sym.m,) * n), axis=1)
 
 
 def solve_transport(
@@ -666,7 +790,6 @@ def solve_transport(
     pool_cap: int = _POOL_CAP,
     batch: int = _PRICE_BATCH,
     max_rounds: int = _MAX_ROUNDS,
-    init_tuples=None,
     group: np.ndarray | None = None,
 ):
     """Solve the abstract equal-marginal coupling LP in its multiset form.
@@ -712,13 +835,16 @@ def solve_transport(
         )
     # infinite-cost columns never enter the pool (phase 1 ignores costs);
     # feasibility is judged on the finite columns alone
-    prov = _MultisetColumns(recip, n, _initial_pool(sym, n, injective, pool_cap), sym)
-    if init_tuples:
-        prov.add(np.array([tuple(t) for t in init_tuples], dtype=np.int64))
+    rows, mass = _quantile_pieces(w, n)
+    keys = np.ravel_multi_index(canonical(sym.perms, rows).T, (m,) * n)
+    codes, inv = np.unique(keys, return_inverse=True)
+    mass = np.bincount(inv.ravel(), weights=mass)
+    prov = _MultisetColumns(recip, n, _initial_pool(sym, n, injective, pool_cap, codes), sym)
     if prov.pool.shape[0] == 0:
         raise InsufficientSupport("every candidate coupling tuple has infinite cost")
     b = n * np.bincount(sym.cell_orbit, weights=w)
-    engine = _SimplexEngine(prov, b, feas_tol=feas_tol, initial_basis=prov.diagonal_basis())
+    basis = _crash_basis(prov, b, codes, mass)
+    engine = _SimplexEngine(prov, b, feas_tol=feas_tol, initial_basis=basis)
     price_tol = feas_tol * _cost_scale(recip, n)
     for _ in range(max_rounds):
         status, primal, y, obj, cert = engine.optimize()
@@ -845,7 +971,6 @@ def solve_mmot(
     pool_cap: int = _POOL_CAP,
     batch: int = _PRICE_BATCH,
     max_rounds: int = _MAX_ROUNDS,
-    init_columns=None,
     refine_duals: bool = True,
 ) -> tuple[TransportPlan, PotentialVector, float]:
     """Solve the discrete multimarginal problem for one measure.
@@ -879,15 +1004,6 @@ def solve_mmot(
     recip = _support_recip(model, measure.grid, support, cost_mode, measure.positions)
     w = np.array([measure.atoms[c] for c in support])
     group = symmetry_group(np.array(support, dtype=np.int64), measure.grid, w, recip)
-    index = {c: i for i, c in enumerate(support)}
-    init_tuples = None
-    if init_columns:
-        init_tuples = []
-        for cells in init_columns:
-            try:
-                init_tuples.append(tuple(index[c] for c in cells))
-            except KeyError:
-                continue
     atoms_idx, u_mat, value = solve_transport(
         w,
         recip,
@@ -896,7 +1012,6 @@ def solve_mmot(
         pool_cap=pool_cap,
         batch=batch,
         max_rounds=max_rounds,
-        init_tuples=init_tuples,
         group=group,
     )
     idx = np.array(list(atoms_idx), dtype=np.int64).reshape(-1, n)

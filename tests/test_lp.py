@@ -1,23 +1,27 @@
 """Revised simplex engine against a dense-tableau reference solver."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mmot import lp
 from mmot.cost import coulomb
 from mmot.errors import InsufficientSupport
 from mmot.grid import GridSpec
 from mmot.lp import StandardLP, solve_lp, solve_mmot, solve_transport
-from mmot.measure import TruncatedGaussian, UniformBall, discretize
+from mmot.measure import FiniteAtomic, TruncatedGaussian, UniformBall, discretize
 from mmot.symmetry import Symmetry, symmetry_group
-from mmot.transport import _support_recip
+from mmot.transport import DUAL_FEAS_TOL, _support_recip, verify_duality
 
 from oracles import (
     box_sup_dist,
     coupling_lp,
     min_over_vertices,
+    quantile_shift_plan,
     quantile_shift_value,
     tableau_simplex,
 )
@@ -301,8 +305,9 @@ def test_column_generation_reaches_full_pool_optimum():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_maintained_inverse_stays_the_basis_inverse(monkeypatch, n):
-    # row-sparse updates on the multiset LP of an off-center 1-D Gaussian
-    # with m = 64, whose symmetry group is trivial
+    # row-sparse updates on the multiset LP of a random symmetric pair
+    # matrix with m = 64, where the quantile-shift start is not optimal;
+    # the trivial group keeps one row per point
     pivot = lp._SimplexEngine._pivot
     seen = []
 
@@ -314,12 +319,13 @@ def test_maintained_inverse_stays_the_basis_inverse(monkeypatch, n):
         seen.append(engine.k)
 
     monkeypatch.setattr(lp._SimplexEngine, "_pivot", checked)
-    mu = discretize(TruncatedGaussian(center=(0.1,), sigma=0.5), GridSpec(5, 1.0, 1))
-    support = mu.support()
-    weights = np.array([mu.atoms[c] for c in support])
-    recip = _support_recip(coulomb(n), mu.grid, support, "cell", None)
-    assert symmetry_group(np.array(support), mu.grid, weights, recip).shape[0] == 1
-    solve_mmot(mu, coulomb(n))
+    rng = np.random.default_rng(64)
+    m = 64
+    w = rng.uniform(0.5, 1.5, size=m)
+    w /= w.sum()
+    recip = rng.uniform(0.1, 2.0, size=(m, m))
+    recip = 0.5 * (recip + recip.T)
+    solve_transport(w, recip, n)
     assert set(seen) == {64} and len(seen) > lp._REFACTOR_EVERY
 
 
@@ -364,3 +370,206 @@ def test_dense_scans_skip_excluded_ids():
     assert sorted(scan.tolist()) == rest.tolist()
     assert np.all(np.diff(red[scan]) >= 0.0)
     assert prov.full_scan(2, 1e-9, 40, hits).size == 0
+
+
+# ---------------------------------------------------------------------------
+# the quantile-shift start
+
+
+def _start_of(run):
+    """Run run() and return its result with the start of its first simplex
+    engine: the basis ids and matrix B, the right-hand side b, the basic
+    levels xB, the objective of the basic solution, and whether phase 1
+    is skipped."""
+    starts = []
+    init = lp._SimplexEngine.__init__
+
+    def capture(engine, *args, **kwargs):
+        init(engine, *args, **kwargs)
+        if not starts:
+            basis = engine.basis.copy()
+            real = np.flatnonzero(basis >= 0)
+            starts.append(
+                SimpleNamespace(
+                    basis=basis,
+                    B=np.column_stack([engine._column(j) for j in basis.tolist()]),
+                    b=engine.b.copy(),
+                    xB=engine.xB.copy(),
+                    cost=math.fsum(engine.prov.cost(basis[r]) * engine.xB[r] for r in real),
+                    phase1_skipped=engine.phase1_done,
+                )
+            )
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp._SimplexEngine, "__init__", capture)
+        out = run()
+    return out, starts[0]
+
+
+def _with_exact_shares(rng, m, n, shares):
+    """m positive weights summing to one, the first `shares` of them
+    exactly the float 1/n and the others random, in shuffled order."""
+    rest = rng.uniform(0.2, 1.0, size=m - shares)
+    w = np.concatenate([np.full(shares, 1.0 / n), rest / rest.sum() * (1.0 - shares / n)])
+    return w[rng.permutation(m)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quantile_pieces_reproduce_the_marginal(n):
+    rng = np.random.default_rng(50 + n)
+    for m in (n, n + 1, 9, 40, 256):
+        for shares in (0, 1, n - 1):
+            w = _with_exact_shares(rng, m, n, shares)
+            rows, mass = lp._quantile_pieces(w, n)
+            assert (np.diff(rows, axis=1) >= 0).all()
+            assert (mass > 0.0).all() and mass.sum() == pytest.approx(1.0, abs=1e-15)
+            counts = np.bincount(rows.ravel(), weights=np.repeat(mass, n), minlength=m)
+            assert np.abs(counts - n * w).max() <= 1e-12, (m, shares)
+            if w.max() <= 1.0 / n:
+                # a pointwise coupling: no piece repeats a cell
+                assert (np.diff(rows, axis=1) > 0).all(), (m, shares)
+            if shares == 0:
+                want: dict[tuple[int, ...], float] = {}
+                for t, x in quantile_shift_plan(w, n).items():
+                    key = tuple(sorted(t))
+                    want[key] = want.get(key, 0.0) + x
+                got: dict[tuple[int, ...], float] = {}
+                for t, x in zip(map(tuple, rows.tolist()), mass.tolist()):
+                    got[t] = got.get(t, 0.0) + x
+                assert got.keys() == want.keys()
+                assert max(abs(got[t] - want[t]) for t in got) <= 1e-12
+
+
+@st.composite
+def _invariant_pair_instances(draw):
+    """Weights and a symmetric pair matrix on m abstract points, invariant
+    under the cyclic group of a random permutation (the trivial group when
+    it is the identity), with an infinite diagonal in pointwise instances."""
+    n = draw(st.integers(2, 4))
+    injective = draw(st.booleans())
+    m = draw(st.integers(n if injective else 1, {2: 6, 3: 4, 4: 3}[n] + 2 * injective))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gen = np.array(draw(st.permutations(range(m))), dtype=np.int64)
+    perms = [np.arange(m)]
+    while not np.array_equal(gen[perms[-1]], perms[0]):
+        perms.append(gen[perms[-1]])
+    perms = np.array(perms)
+    # one random value per orbit of points and per orbit of point pairs
+    point_value = {}
+    w = np.array([point_value.setdefault(perms[:, i].min(), rng.uniform(0.3, 1.0)) for i in range(m)])
+    w = w / w.sum()
+    pair_value = {}
+    recip = np.empty((m, m))
+    for i in range(m):
+        for j in range(m):
+            key = min(zip(np.minimum(perms[:, i], perms[:, j]), np.maximum(perms[:, i], perms[:, j])))
+            recip[i, j] = pair_value.setdefault(key, rng.uniform(0.1, 2.0))
+    if injective:
+        np.fill_diagonal(recip, math.inf)
+        assume(w.max() <= 1.0 / n)
+    return w, recip, n, perms
+
+
+@settings(max_examples=100, deadline=None)
+@given(_invariant_pair_instances())
+def test_start_basis_is_a_feasible_vertex_below_the_coupling(instance):
+    w, recip, n, perms = instance
+    (_, _, value), start = _start_of(lambda: solve_transport(w, recip, n, group=perms))
+    assert np.linalg.matrix_rank(start.B) == start.b.size
+    x = np.linalg.solve(start.B, start.b)
+    assert x.min() >= -1e-12
+    assert np.abs(x - start.xB).max() <= 1e-12
+    assert start.phase1_skipped
+    coupling = quantile_shift_value(w, lambda a, c: recip[a, c], n)
+    assert start.cost <= coupling + 1e-12 * (1.0 + coupling)
+
+    def tup_cost(t):
+        return math.fsum(recip[t[i], t[j]] for i in range(n) for j in range(i + 1, n))
+
+    A, b_full, c, _ = coupling_lp(w, tup_cost, n)
+    status, _, want = tableau_simplex(A, b_full, c)
+    assert status == "optimal"
+    assert value == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_start_is_the_optimal_quantile_shift_in_1d(n):
+    # cell mode on a centered and an off-center Gaussian
+    for center in (0.0, 0.3):
+        level = 5
+        mu = discretize(TruncatedGaussian(center=(center,), sigma=0.4), GridSpec(level, 1.0, 1))
+        support = mu.support()
+        w = [mu.atoms[c] for c in support]
+        (_, _, value), start = _start_of(lambda: solve_mmot(mu, coulomb(n)))
+        want = quantile_shift_value(
+            w, lambda a, b: 1.0 / box_sup_dist(support[a], support[b], level), n
+        )
+        assert start.cost == pytest.approx(want, abs=1e-12)
+        assert value == pytest.approx(want, abs=1e-12)
+    # pointwise mode on atoms at random positions of distinct cells
+    rng = np.random.default_rng(n)
+    level = 3
+    h = 0.5**level
+    cells = np.sort(rng.choice(np.arange(-7, 9), size=3 * n, replace=False))
+    points = [((c - 1 + rng.uniform(0.1, 0.9)) * h,) for c in cells.tolist()]
+    raw = rng.uniform(0.5, 1.0, size=cells.size)
+    atoms = FiniteAtomic(tuple(points), tuple((raw / raw.sum()).tolist()))
+    mu = discretize(atoms, GridSpec(level, 1.0, 1))
+    support = mu.support()
+    w = [mu.atoms[c] for c in support]
+    pos = [mu.positions[c][0] for c in support]
+    (_, _, value), start = _start_of(lambda: solve_mmot(mu, coulomb(n), cost_mode="pointwise"))
+    want = quantile_shift_value(w, lambda a, b: 1.0 / abs(pos[a] - pos[b]), n)
+    assert start.cost == pytest.approx(want, abs=1e-12)
+    assert value == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("excess", [1e-15, 5e-13, 1e-12])
+def test_weight_inside_the_guard_above_one_over_n_is_solved(n, excess):
+    # a pointwise piece then repeats the heavy point; its mass starts on
+    # the artificials of its rows, no other mass joins it there, and the
+    # solve succeeds, as it did from the all-artificial start
+    m = 2 * n + 1
+    rng = np.random.default_rng(n)
+    w = np.empty(m)
+    w[0] = 1.0 / n + excess
+    rest = rng.uniform(0.5, 1.5, size=m - 1)
+    w[1:] = rest / rest.sum() * (1.0 - w[0])
+    pts = np.sort(rng.uniform(0.0, 1.0, size=m))
+    with np.errstate(divide="ignore"):
+        recip = 1.0 / np.abs(pts[:, None] - pts[None, :])
+    (atoms, u_mat, value), start = _start_of(lambda: solve_transport(w, recip, n))
+    level = np.linalg.solve(start.B, start.b)
+    assert level.min() >= -1e-13
+    assert level[start.basis < 0].sum() <= 2 * n * n * excess
+    assert start.phase1_skipped
+    for slot in range(n):
+        marg = np.zeros(m)
+        for t, x in atoms.items():
+            assert len(set(t)) == n
+            marg[t[slot]] += x
+        assert np.abs(marg - w).max() <= 1e-9
+    assert value == pytest.approx(n * float(u_mat[0] @ w), rel=1e-9)
+
+
+def test_column_generation_past_the_pool_cap_certifies_1d_ball():
+    # d = 1, level 7, N = 3: 256 cells and 1.41 M multiset orbits under the
+    # reflection, past the pool cap; the pool starts from the quantile-shift
+    # pieces, which are optimal on the line
+    n, level = 3, 7
+    mu = discretize(UniformBall(center=(0.0,), radius=1.0), GridSpec(level, 1.0, 1))
+    support = mu.support()
+    w = np.array([mu.atoms[c] for c in support])
+    recip = _support_recip(coulomb(n), mu.grid, support, "cell", None)
+    sym = Symmetry(symmetry_group(np.array(support), mu.grid, w, recip))
+    assert sym.orbit_count(n, False) > lp._POOL_CAP
+    plan, pots, value = solve_mmot(mu, coulomb(n))
+    want = quantile_shift_value(
+        w.tolist(), lambda a, b: 1.0 / box_sup_dist(support[a], support[b], level), n
+    )
+    assert value == pytest.approx(want, abs=1e-12)
+    report = verify_duality(plan, pots, coulomb(n))
+    assert report.relative_gap <= 1e-8
+    assert report.max_dual_violation <= DUAL_FEAS_TOL
+    assert report.primal_value == value
