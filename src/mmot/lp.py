@@ -14,21 +14,27 @@ solve_mmot keeps the elements of the grid's hyperoctahedral group (axis
 permutations and reflections k -> 1 - k) that map the support onto
 itself and fix the weights and the pair matrix bitwise; bitwise, so that
 the reduced LP is exactly invariant rather than nearly so (symmetry.py
-finds the group and enumerates its orbits).  Averaging an
-optimal plan over that group G keeps it optimal, so the LP is solved over
-G-invariant plans: one row per cell orbit Q, sum_O count_Q(O) X_O =
-N w(Q), and one column per multiset orbit O, represented by its
-lexicographically smallest sorted image, whose per-orbit counts form the
-column and whose cost is the column cost.  The orbit dual U lifts to the
-cell potential u(c) = U[orbit(c)], which meets every constraint of an
-orbit once it meets the representative's.  The plan is lifted by
-spreading each basic orbit's mass evenly over its distinct sorted images
-and then over their N cyclic shifts.  Under the trivial group all of this
-is the multiset LP above, step for step.
+finds the group and its orbits).  Averaging an optimal plan over that
+group G keeps it optimal, so the LP is solved over G-invariant plans:
+one row per cell orbit Q, sum_O count_Q(O) X_O = N w(Q), with one
+column per multiset orbit O holding its per-orbit counts.  Those counts
+depend only on the class of O, the sorted tuple of its cells' orbits, so
+all orbits of a class share one column and only the cheapest can be in
+an optimal basis; the others are dominated.  The pool therefore holds
+one column per class, at its cheapest multiset and that multiset's cost
+(Symmetry.cheapest), which leaves the optimal value unchanged.  The
+orbit dual U lifts to the cell potential u(c) = U[orbit(c)]; every
+multiset of a class sums the same U, and its cost is at least the
+class's, so u meets all their constraints once it meets the class's.
+The plan is lifted by spreading each basic class's mass evenly over the
+distinct sorted images of its cheapest multiset and then over their N
+cyclic shifts.  Under the trivial group a class is one multiset, and all
+of this is the multiset LP above, step for step.
 
 The engine is a revised simplex with an explicit basis inverse and
 Bland's rule as a fallback once the objective stalls on degenerate
-pivots.  A multiset column has at most N nonzeros and the directions
+pivots, in episodes of doubling length between which the usual pricing
+resumes.  A multiset column has at most N nonzeros and the directions
 B^-1 a it yields are short, so each pivot's rank-one update rewrites only
 the rows of the inverse where the direction is nonzero; the inverse is
 refactorized once any row has taken a fixed number of updates since the
@@ -40,31 +46,37 @@ The simplex starts at the quantile-shift coupling in support order,
 t -> (F^-1(t), F^-1(t + 1/N), ..., F^-1(t + (N-1)/N)) with F the
 cumulative weight, which is optimal on the line (Colombo, De Pascale and
 Di Marino, Canad. J. Math. 2015) and a feasible coupling in any
-dimension.  It is piecewise constant in t, and the canonical orbits of
-its pieces form a feasible point of the orbit LP, because the counts
-count_Q are constant on an orbit.  A crash reduces that point to a basic
-feasible solution of no higher cost: the orbit columns are placed one by
-one into a basis of artificials, each on the free row of its largest
-entry, and a column that depends on those already placed moves mass
-along the dependency, in the direction that does not raise the cost
-(mass on artificials counting first), until a column empties.  Rows left free keep zero-level artificials, so
-phase 1 runs only when an artificial carries mass, which happens only
-when a pointwise piece repeats a cell (a weight inside the 1e-12 guard
-above 1/N).  Artificial columns carry stable negative ids so the column
-pool can grow between re-optimizations without renumbering; a
-zero-level artificial that no column can replace (a redundant row)
-pins that row's dual to zero.
+dimension.  It is piecewise constant in t, and the classes of its
+pieces form a feasible point of the class LP, of no higher cost, because
+the counts count_Q are those of the pieces and a class costs at most any
+of its multisets.  A crash reduces that point to a basic feasible
+solution of no higher cost: the class columns are placed one by one into
+a basis of artificials, each on the free row of its largest entry, and a
+column that depends on those already placed moves mass along the
+dependency, in the direction that does not raise the cost (mass on
+artificials counting first), until a column empties.  Rows left free
+keep zero-level artificials, so phase 1 runs only when an artificial
+carries mass, which happens only when a pointwise piece falls in a class
+with no distinct cells (a weight inside the 1e-12 guard above 1/N).
+Artificial columns carry stable negative ids so the column pool can grow
+between re-optimizations without renumbering; a zero-level artificial
+that no column can replace (a redundant row) pins that row's dual to
+zero.
 
-Column generation prices every ordered support tuple against the lifted
-potential in vectorized two-dimensional slabs and injects the orbit
-representatives of the first violating multisets in enumeration order.
-An empty pricing round is an unconditional optimality certificate
-because the scan is exhaustive, not sampled.
+When there are more classes than the pool cap, the pool starts from the
+classes of the quantile-shift pieces, and column generation prices every
+ordered support tuple against the lifted potential in vectorized
+two-dimensional slabs and pools the classes of the first violating
+tuples in enumeration order, each at its cheapest multiset.  An empty
+pricing round is an unconditional optimality certificate because the
+scan is exhaustive, not sampled.  Under the cap the pool holds every
+class of finite cost, a pricing scan could find nothing, and none runs:
+the simplex's final full scan over the pool is the certificate.
 
 The potential returned for the coupling problem is refined after
-optimality: among all potentials tight on the optimal multisets, the
-minimum-norm one is selected when it stays feasible, which makes the
-reported potential independent of the pivot order.
+optimality: among all potentials tight on the classes of the optimal
+multisets, the minimum-norm one is selected when it stays feasible,
+which makes the reported potential independent of the pivot order.
 """
 
 from __future__ import annotations
@@ -74,10 +86,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostModel, tuple_costs
+from .cost import CostModel
 from .errors import InsufficientSupport, NumericalBreakdown, ProblemTooLarge
 from .measure import DiscreteMeasure
-from .symmetry import Symmetry, canonical, symmetry_group
+from .symmetry import Symmetry, symmetry_group
 from .transport import (
     PotentialVector,
     TransportPlan,
@@ -222,55 +234,58 @@ def _pooled(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 class _MultisetColumns:
-    """Columns indexed by orbits of multisets of N support-cell positions.
+    """Columns indexed by classes of multisets of N support cells.
 
-    Each orbit is stored as the sorted row of its representative in an
-    int64 array; its column holds the number of the row's cells in every
-    cell orbit, and its cost is the row's pair sum over the reciprocal
-    matrix.  Pool membership is keyed by the np.ravel_multi_index code of
-    the representative, kept in a sorted array.  Row vectors given to the
-    provider have one entry per cell orbit and are lifted to the cells.
+    A class is a sorted N-tuple of cell orbits, stored as a row of the
+    int64 array classes; its column holds how many of its slots fall in
+    every cell orbit.  Each class is pooled at its cheapest multiset,
+    whose sorted row of cells is the same row of members and whose pair
+    sum over the reciprocal matrix is its cost (Symmetry.cheapest).  Pool
+    membership is keyed by the np.ravel_multi_index code of the class
+    over (R,) * N, R the number of cell orbits, kept in a sorted array.
+    Row vectors given to the provider have one entry per cell orbit.
     """
 
-    def __init__(self, recip: np.ndarray, n_marginals: int, pool: np.ndarray, sym: Symmetry):
-        """pool holds representatives, each once, in lexicographic order."""
-        self.m = recip.shape[0]
+    def __init__(self, recip: np.ndarray, n_marginals: int, classes: np.ndarray, sym: Symmetry):
+        """classes holds sorted orbit tuples, each once, in lexicographic
+        order."""
         self.n = n_marginals
         self.recip = recip
         self.sym = sym
-        self.dims = (self.m,) * n_marginals
-        self.pool = np.empty((0, n_marginals), dtype=np.int64)
+        self.dims = (sym.reps.size,) * n_marginals
+        self.classes = np.empty((0, n_marginals), dtype=np.int64)
+        self.members = np.empty((0, n_marginals), dtype=np.int64)
         self.costs = np.empty(0)
         self.sorted_codes = np.empty(0, dtype=np.int64)
         self._y = None
-        self._append(pool)
+        self._append(classes)
 
-    def _append(self, rows: np.ndarray) -> int:
-        """Pool the finite-cost ones of rows, which are sorted multisets
-        not pooled yet; returns how many."""
-        costs = tuple_costs(self.recip, rows)
+    def _append(self, classes: np.ndarray) -> int:
+        """Pool the classes of finite cost among classes, which are not
+        pooled yet; returns how many."""
+        members, costs = self.sym.cheapest(classes, self.recip)
         keep = np.isfinite(costs)
-        self.pool = np.concatenate([self.pool, rows[keep]])
+        self.classes = np.concatenate([self.classes, classes[keep]])
+        self.members = np.concatenate([self.members, members[keep]])
         self.costs = np.concatenate([self.costs, costs[keep]])
-        codes = np.ravel_multi_index(rows[keep].T, self.dims)
+        codes = np.ravel_multi_index(classes[keep].T, self.dims)
         self.sorted_codes = np.concatenate([self.sorted_codes, codes])
         return int(keep.sum())
 
-    def add(self, block: np.ndarray) -> int:
-        """Pool the finite-cost orbits of the multisets of block (tuples in
-        any order) that are not pooled yet, in code order; returns how
-        many."""
-        block = np.sort(np.asarray(block, dtype=np.int64).reshape(-1, self.n), axis=1)
-        block = canonical(self.sym.perms, block)
-        codes = np.unique(np.ravel_multi_index(block.T, self.dims))
+    def add(self, classes: np.ndarray) -> int:
+        """Pool the finite-cost classes among the rows of classes (sorted
+        orbit tuples, repeats allowed) that are not pooled yet, in code
+        order; returns how many."""
+        classes = np.asarray(classes, dtype=np.int64).reshape(-1, self.n)
+        codes = np.sort(np.ravel_multi_index(classes.T, self.dims))
+        codes = codes[np.diff(codes, prepend=-1) != 0]
         codes = codes[~_pooled(self.sorted_codes, codes)]
         added = self._append(np.stack(np.unravel_index(codes, self.dims), axis=1))
         self.sorted_codes.sort()
         return added
 
     def column(self, j: int) -> np.ndarray:
-        orbit = self.sym.cell_orbit
-        return np.bincount(orbit[self.pool[j]], minlength=self.sym.reps.size).astype(float)
+        return np.bincount(self.classes[j], minlength=self.dims[0]).astype(float)
 
     def cost(self, j: int) -> float:
         return float(self.costs[j])
@@ -278,32 +293,32 @@ class _MultisetColumns:
     def max_abs_cost(self) -> float:
         return float(np.max(np.abs(self.costs))) if self.costs.size else 0.0
 
-    def _used(self, y: np.ndarray, pool: np.ndarray) -> np.ndarray:
-        used = y.take(pool[:, 0])
+    def _used(self, y: np.ndarray, classes: np.ndarray) -> np.ndarray:
+        used = y.take(classes[:, 0])
         for i in range(1, self.n):
-            used += y.take(pool[:, i])
+            used += y.take(classes[:, i])
         return used
 
     def begin_iteration(self, y: np.ndarray) -> None:
-        self._y = y[self.sym.cell_orbit]
+        self._y = y
 
     def _reduced_slice(self, phase: int, lo: int, hi: int) -> np.ndarray:
-        used = self._used(self._y, self.pool[lo:hi])
+        used = self._used(self._y, self.classes[lo:hi])
         return self.costs[lo:hi] - used if phase == 2 else -used
 
     def reduced_for(self, phase: int, ids: np.ndarray) -> np.ndarray:
-        used = self._used(self._y, self.pool[ids])
+        used = self._used(self._y, self.classes[ids])
         return self.costs[ids] - used if phase == 2 else -used
 
     def full_scan(self, phase, tol, topk, exclude) -> np.ndarray:
-        red = self._reduced_slice(phase, 0, self.pool.shape[0])
+        red = self._reduced_slice(phase, 0, self.classes.shape[0])
         red[exclude] = 0.0
         return _top_violators(red, tol, topk)
 
     def entering_bland(self, phase, tol, exclude):
         # chunked scan in id order; the first chunk with a violating id
         # outside exclude holds the globally smallest one
-        P = self.pool.shape[0]
+        P = self.classes.shape[0]
         for lo in range(0, P, _SCAN_CHUNK):
             hi = min(lo + _SCAN_CHUNK, P)
             hits = lo + np.flatnonzero(self._reduced_slice(phase, lo, hi) < -tol)
@@ -313,7 +328,7 @@ class _MultisetColumns:
         return None
 
     def first_nonzero(self, w: np.ndarray, tol: float, exclude: np.ndarray):
-        used = self._used(w[self.sym.cell_orbit], self.pool)
+        used = self._used(w, self.classes)
         return _first_outside(np.flatnonzero(np.abs(used) > tol), exclude)
 
 
@@ -333,22 +348,23 @@ def price_columns(
     tol: float,
     skip: np.ndarray,
     batch: int = _PRICE_BATCH,
-    group: np.ndarray | None = None,
+    orbits: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exhaustively scan all m^N ordered tuples for dual violations.
 
     A tuple violates when the sum of the potential u over its slots
-    exceeds its pair-sum cost by more than tol.  Returns the sorted rows
-    of the first violating multisets in enumeration (lexicographic)
-    order, at most batch of them, each once, leaving out those whose
-    code is in the sorted array skip.  With a group of index permutations
-    (row 0 the identity, u and the pair matrix invariant under it), each
-    violator is replaced by its orbit representative first.  An empty
-    return certifies dual feasibility over the whole tuple space, since
-    every slab is inspected.
+    exceeds its pair-sum cost by more than tol.  Its class is the sorted
+    tuple of its cells' orbits under the cell-orbit map orbits (u
+    constant on each orbit; None means every cell is its own orbit).
+    Returns the classes of the first violating tuples in enumeration
+    (lexicographic) order, at most batch of them, each once, leaving out
+    those whose code over (R,) * N is in the sorted array skip.  The
+    cheapest multiset of a class costs no more than the tuple, so the
+    class violates too.  An empty return certifies dual feasibility over
+    the whole tuple space, since every slab is inspected.
     """
     n, m = n_marginals, u.size
-    dims = (m,) * n
+    dims = (m if orbits is None else int(orbits.max()) + 1,) * n
     found: dict[int, np.ndarray] = {}
     for prefix, row0, excess in dual_excess_slabs(np.broadcast_to(u, (n, m)), recip):
         hits = np.argwhere(excess > tol)
@@ -357,9 +373,8 @@ def price_columns(
         for lo in range(0, hits.shape[0], _SCAN_CHUNK // n):
             part = hits[lo : lo + _SCAN_CHUNK // n]
             head = np.broadcast_to(np.array(prefix, dtype=np.int64), (part.shape[0], n - 2))
-            keys = np.sort(np.concatenate([head, part], axis=1), axis=1)
-            if group is not None:
-                keys = canonical(group, keys)
+            keys = np.concatenate([head, part], axis=1)
+            keys = np.sort(keys if orbits is None else orbits[keys], axis=1)
             codes = np.ravel_multi_index(keys.T, dims)
             fresh = ~_pooled(skip, codes)
             for code, key in zip(codes[fresh].tolist(), keys[fresh]):
@@ -542,6 +557,11 @@ class _SimplexEngine:
         tol = self.feas_tol * (1.0 + (self.prov.max_abs_cost() if phase == 2 else 0.0))
         bland = False
         stall = 0
+        # Bland's rule cannot cycle but can take very many pivots on a
+        # large degenerate pool, so it runs in episodes that double in
+        # length; once an episode outlasts Bland's longest run from any
+        # basis, it ends at optimality or an improving pivot.
+        episode = _STALL_LIMIT
         last_obj = self._objective()
         # candidates come from full scans, which skip basic columns, and a
         # candidate turns basic only by entering
@@ -586,8 +606,10 @@ class _SimplexEngine:
                 bland = False
             else:
                 stall += 1
-                if stall >= _STALL_LIMIT:
-                    bland = True
+                if not bland and stall >= _STALL_LIMIT:
+                    bland, stall = True, 0
+                elif bland and stall >= episode:
+                    bland, stall, episode = False, 0, 2 * episode
             last_obj = obj
         raise NumericalBreakdown(f"simplex exceeded {self.max_iters} iterations")
 
@@ -693,26 +715,26 @@ def _quantile_pieces(w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _crash_basis(
     prov: _MultisetColumns, b: np.ndarray, codes: np.ndarray, mass: np.ndarray
 ) -> list[int]:
-    """A nonsingular, primal feasible start basis for the orbit LP with
+    """A nonsingular, primal feasible start basis for the class LP with
     right-hand side b, whose basic solution costs no more than the plan
-    that puts mass[p] on the orbit whose representative has code codes[p]
-    (ascending) and meets b.
+    that puts mass[p] on the class with code codes[p] (ascending) and
+    meets b.
 
-    The plan's orbits are placed one by one into a basis of artificials.
+    The plan's classes are placed one by one into a basis of artificials.
     A column with an entry on a free row (one whose basic artificial is
     not in the plan) enters on the free row of its largest entry.  A
     column without one is a combination of the columns placed; mass then
     moves along that dependency until the column or one it depends on
     empties and leaves, in the direction that takes mass off the placed
     artificials or, when it moves none, does not raise the cost.  The
-    orbits that are not pooled (infinite cost) put their mass on the
-    artificials of their rows, the only mass artificials get.  Pool ids are read off the sorted codes,
-    which is valid while the pool is in code order: before column
-    generation adds to it.
+    classes that are not pooled (infinite cost) put their mass on the
+    artificials of their rows, the only mass artificials get.  Pool ids
+    are read off the sorted codes, which is valid while the pool is in
+    code order: before column generation adds to it.
     """
-    sym, k = prov.sym, b.size
+    k = b.size
     pooled = _pooled(prov.sorted_codes, codes)
-    orbits = sym.cell_orbit[np.stack(np.unravel_index(codes, prov.dims), axis=1)]
+    orbits = np.stack(np.unravel_index(codes, prov.dims), axis=1)
     # level[r] is the plan mass on the basic column of row r
     level = np.zeros(k)
     np.add.at(level, orbits[~pooled].ravel(), np.repeat(mass[~pooled], prov.n))
@@ -766,19 +788,20 @@ def _min_ratio(level: np.ndarray, d: np.ndarray) -> tuple[int, float]:
 
 def _initial_pool(
     sym: Symmetry, n: int, injective: bool, cap: int, start: np.ndarray
-) -> np.ndarray:
-    """Every multiset orbit of the support, or past the cap the orbits
-    whose representatives have the ascending codes start, from which
-    column generation goes on."""
-    count = sym.orbit_count(n, injective)
+) -> tuple[np.ndarray, bool]:
+    """The classes to pool first, and whether they are all of them: every
+    class of the support (those holding distinct cells when injective),
+    or past the cap the classes with the ascending codes start, from
+    which column generation goes on."""
+    count = sym.class_count(n, injective)
     if count <= cap:
-        return sym.representatives(n, injective)
+        return sym.classes(n, injective), True
     if injective:
         raise ProblemTooLarge(
-            f"pointwise mode enumerates all {count} support multiset orbits of "
+            f"pointwise mode enumerates all {count} classes of support multisets of "
             f"size {n}, which exceeds the cap {cap}; coarsen the grid or use cell mode"
         )
-    return np.stack(np.unravel_index(start, (sym.m,) * n), axis=1)
+    return np.stack(np.unravel_index(start, (sym.reps.size,) * n), axis=1), False
 
 
 def solve_transport(
@@ -804,11 +827,12 @@ def solve_transport(
     group, an int (|G|, m) array of index permutations with the identity
     as row 0, is a symmetry group of the instance: w and the pair matrix
     must be invariant under it, bitwise (only w is checked here).  The LP
-    is then solved on cell orbits and multiset orbits; None means the
-    trivial group.  Returns (atoms, u_mat, value): the optimal ordered
-    plan, which spreads each basic orbit evenly over its distinct
-    multisets and each of those over its N cyclic shifts, the potential u
-    repeated as the N rows of an (N, m) array, and the optimal value.
+    is then solved on cell orbits and classes of multisets; None means
+    the trivial group.  Returns (atoms, u_mat, value): the optimal ordered
+    plan, which spreads each basic class's mass evenly over the distinct
+    images of its cheapest multiset and each of those over its N cyclic
+    shifts, the potential u repeated as the N rows of an (N, m) array,
+    and the optimal value.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -836,11 +860,13 @@ def solve_transport(
     # infinite-cost columns never enter the pool (phase 1 ignores costs);
     # feasibility is judged on the finite columns alone
     rows, mass = _quantile_pieces(w, n)
-    keys = np.ravel_multi_index(canonical(sym.perms, rows).T, (m,) * n)
+    # a piece's class costs at most the piece, so the crash start does too
+    keys = np.ravel_multi_index(np.sort(sym.cell_orbit[rows], axis=1).T, (sym.reps.size,) * n)
     codes, inv = np.unique(keys, return_inverse=True)
     mass = np.bincount(inv.ravel(), weights=mass)
-    prov = _MultisetColumns(recip, n, _initial_pool(sym, n, injective, pool_cap, codes), sym)
-    if prov.pool.shape[0] == 0:
+    classes, complete = _initial_pool(sym, n, injective, pool_cap, codes)
+    prov = _MultisetColumns(recip, n, classes, sym)
+    if prov.classes.shape[0] == 0:
         raise InsufficientSupport("every candidate coupling tuple has infinite cost")
     b = n * np.bincount(sym.cell_orbit, weights=w)
     basis = _crash_basis(prov, b, codes, mass)
@@ -858,14 +884,20 @@ def solve_transport(
                 "coupling LP reported unbounded despite nonnegative costs"
             )
         u = y[sym.cell_orbit]
-        fresh = price_columns(
-            u, recip, n, tol=price_tol, skip=prov.sorted_codes, batch=batch, group=sym.perms
-        )
-        if fresh.shape[0] == 0:
-            idx, x = _lift_plan(primal, prov.pool, sym.perms, prov.dims)
-            atoms = dict(zip(map(tuple, idx.tolist()), x.tolist()))
-            return atoms, np.tile(u, (n, 1)), obj
-        prov.add(fresh)
+        # with every finite class pooled a pricing scan finds nothing, as
+        # each class is skipped and infinite costs never violate, so the
+        # simplex's full scan over the pool is the certificate
+        if not complete:
+            fresh = price_columns(
+                u, recip, n, tol=price_tol, skip=prov.sorted_codes, batch=batch,
+                orbits=sym.cell_orbit,
+            )
+            if fresh.shape[0]:
+                prov.add(fresh)
+                continue
+        idx, x = _lift_plan(primal, prov.members, sym.perms, (m,) * n)
+        atoms = dict(zip(map(tuple, idx.tolist()), x.tolist()))
+        return atoms, np.tile(u, (n, 1)), obj
     raise NumericalBreakdown(f"column generation did not settle in {max_rounds} rounds")
 
 
@@ -933,20 +965,24 @@ def _refine_dual(
     The minimum-norm solution does not depend on the pivot order that
     produced the vertex, which stabilizes the reported potential; it is
     also invariant under the symmetry group, so it is solved for with one
-    unknown U_Q per cell orbit and one equation per optimal multiset
-    orbit.  Weighting U_Q by sqrt|Q| makes its norm the norm of the lifted
-    potential.  Falls back to the input when there are more than
-    max_cells orbits, and on any residual or feasibility failure.
+    unknown U_Q per cell orbit and one equation per class of the optimal
+    multisets, at the class's cheapest cost.  Weighting U_Q by sqrt|Q|
+    makes its norm the norm of the lifted potential.  Falls back to the
+    input when there are more than max_cells orbits, and on any residual
+    or feasibility failure.
     """
     n = u_mat.shape[0]
     sym = Symmetry(group)
     if sym.reps.size > max_cells:
         return u_mat
-    keys = canonical(sym.perms, np.sort(np.array(list(atoms_idx), dtype=np.int64), axis=1))
-    tight = np.array(sorted(set(map(tuple, keys.tolist()))), dtype=np.int64)
-    costs = tuple_costs(recip, tight)
+    # one equation per class, in the order of its smallest sorted
+    # multiset in the plan, since lstsq rounds by row order
+    rows = sorted(set(map(tuple, np.sort(np.array(list(atoms_idx)), axis=1).tolist())))
+    keys = np.sort(sym.cell_orbit[np.array(rows, dtype=np.int64)], axis=1)
+    tight = np.array(list(dict.fromkeys(map(tuple, keys.tolist()))), dtype=np.int64)
+    _, costs = sym.cheapest(tight, recip)
     A = np.zeros((tight.shape[0], sym.reps.size))
-    np.add.at(A, (np.repeat(np.arange(tight.shape[0]), n), sym.cell_orbit[tight].ravel()), 1.0)
+    np.add.at(A, (np.repeat(np.arange(tight.shape[0]), n), tight.ravel()), 1.0)
     root = np.sqrt(sym.sizes)
     sol, *_ = np.linalg.lstsq(A / root, costs, rcond=None)
     sol = sol / root

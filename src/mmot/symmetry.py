@@ -5,10 +5,18 @@ reflections k -> 1 - k; the reflection maps the index range
 [1 - h, h] of every axis onto itself.  symmetry_group keeps the elements
 that map an instance's support onto itself and fix its weights and pair
 matrix bitwise, as index permutations of the support.  Symmetry holds
-the orbits such a group induces on support cells and on multisets of
-cells, which are the rows and columns of the reduced coupling LP in
-lp.py.  A multiset orbit is represented by its lexicographically
-smallest sorted image.
+the orbits such a group induces on support cells, which are the rows of
+the reduced coupling LP in lp.py, and the classes of multisets, which
+are its columns.
+
+The class of a multiset is the sorted tuple of its cells' orbits.  In
+the reduced LP a multiset's column counts its cells in each orbit, so
+every multiset of a class has the same column, and only the cheapest can
+be in an optimal basis: the others are dominated.  A class is therefore
+pooled once, at its cheapest multiset (Symmetry.cheapest), and its
+dual constraint, the lifted potential summed over the class's orbits
+against that minimum cost, stands for the constraints of every multiset
+in it.
 """
 
 from __future__ import annotations
@@ -20,9 +28,10 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from .cost import tuple_costs
 from .grid import GridSpec
 
-# int64 entries per array while orbit representatives are enumerated
+# int64 entries per array while the members of classes are enumerated
 _ENUM_BUDGET = 1 << 20
 
 
@@ -93,108 +102,111 @@ def symmetry_group(
     return perms[kept]
 
 
-def canonical(perms: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Lexicographically smallest sorted image of every sorted row under
-    the group of index permutations perms (row 0 the identity)."""
-    if perms.shape[0] == 1:
-        return rows
-    images = np.sort(perms[:, rows], axis=2)
-    codes = np.ravel_multi_index(np.moveaxis(images, 2, 0), (perms.shape[1],) * rows.shape[1])
-    return images[codes.argmin(axis=0), np.arange(rows.shape[0])]
 
 
 class Symmetry:
-    """Orbits of support cells and of multisets under a group of index
-    permutations of the support (row 0 of perms is the identity).
+    """Orbits of support cells under a group of index permutations of the
+    support (row 0 of perms is the identity), and the classes of
+    multisets they induce.
 
     Orbits are numbered in the order of their representatives, the
     smallest index in each; under the trivial group orbit j is cell j.
+    The class of a multiset of cells is the sorted tuple of their
+    orbits.
     """
 
     def __init__(self, perms: np.ndarray):
         self.perms = perms
-        self.m = perms.shape[1]
         rep_of = perms.min(axis=0)
-        self.reps = np.flatnonzero(rep_of == np.arange(self.m))
+        self.reps = np.flatnonzero(rep_of == np.arange(perms.shape[1]))
         self.cell_orbit = np.searchsorted(self.reps, rep_of)
         self.sizes = np.bincount(self.cell_orbit)
+        # orbit q holds the cells by_orbit[starts[q] : starts[q] + sizes[q]]
+        self.by_orbit = np.argsort(self.cell_orbit, kind="stable")
+        self.starts = np.cumsum(self.sizes) - self.sizes
 
-    def orbit_count(self, n: int, distinct: bool) -> int:
-        """Number of orbits of n-multisets (n-subsets when distinct) of the
-        support: by Burnside's lemma, the mean over the group of how many
-        of them each element fixes."""
-        if self.perms.shape[0] == 1:
-            return math.comb(self.m, n) if distinct else math.comb(self.m + n - 1, n)
-        ident = np.arange(self.m)
-        length = np.zeros(self.perms.shape, dtype=np.int64)
-        power, k = self.perms, 1
-        while (length == 0).any():
-            length[(power == ident) & (length == 0)] = k
-            power = np.take_along_axis(self.perms, power, axis=1)
-            k += 1
-        total = 0
-        for row in length:
-            # a fixed multiset is a union of whole cycles: the generating
-            # function is the product over cycles of length L of
-            # (1 + x^L) for sets and 1 / (1 - x^L) for multisets
-            poly = [1] + [0] * n
-            cells = np.bincount(row)
-            lens = np.flatnonzero(cells)
-            for L, cycles in zip(lens.tolist(), (cells[lens] // lens).tolist()):
-                series = [
-                    math.comb(cycles, j) if distinct else math.comb(cycles + j - 1, j)
-                    for j in range(n // L + 1)
-                ]
-                poly = [
-                    sum(poly[i - L * j] * series[j] for j in range(i // L + 1))
-                    for i in range(n + 1)
-                ]
-            total += poly[n]
-        return total // self.perms.shape[0]
-
-    def representatives(self, n: int, distinct: bool) -> np.ndarray:
-        """Sorted rows of the orbit representatives of all n-multisets of
-        the support (n-subsets when distinct), in lexicographic order.
-
-        The representative of an orbit is its lexicographically smallest
-        sorted image.  Its first element r is a cell-orbit representative,
-        and every other element is a cell c >= r (> r when distinct) whose
-        orbit representative is >= r.  Those tuples are enumerated in
-        position order of the cells sorted by orbit, where they are the
-        tuples starting at r's position, and the ones that are not the
-        smallest of their images are dropped.  Under the trivial group the
-        positions are the cells, and the rows are every sorted tuple.
-        """
-        order = np.argsort(self.cell_orbit, kind="stable")
-        starts = np.cumsum(self.sizes) - self.sizes
-        # no start position has more than comb(m + n - 2, n - 1) tuples, so
-        # these blocks hold at most about _ENUM_BUDGET entries each
-        per_start = math.comb(self.m + n - 2, n - 1) * n
-        symmetric = self.perms.shape[0] > 1
-        chunk = max(1, _ENUM_BUDGET // (self.perms.shape[0] * n))
-        blocks = []
-        for first in np.array_split(starts, -(-starts.size * per_start // _ENUM_BUDGET)):
-            cells = order[_sorted_tuples(first, self.m, n, distinct)]
-            if not symmetric:
-                blocks.append(cells)
+    def class_count(self, n: int, distinct: bool) -> int:
+        """Number of classes of n-multisets of the support, or of those
+        classes that hold an n-subset when distinct: the sorted n-tuples
+        of orbits, using no orbit more times than it has cells when
+        distinct."""
+        r = self.reps.size
+        if not distinct:
+            return math.comb(r + n - 1, n)
+        # the coefficient of x^n in the product over orbits Q of
+        # 1 + x + ... + x^|Q|; k orbits of size s give
+        # (1 - x^(s + 1))^k / (1 - x)^k
+        poly = [1] + [0] * n
+        for s, k in enumerate(np.bincount(self.sizes).tolist()):
+            if k == 0:
                 continue
-            cells.sort(axis=1)
-            for a in range(0, cells.shape[0], chunk):
-                part = cells[a : a + chunk]
-                blocks.append(part[(canonical(self.perms, part) == part).all(axis=1)])
-        reps = np.concatenate(blocks)
-        return reps[np.lexsort(reps.T[::-1])] if symmetric else reps
+            factor = [
+                sum(
+                    (-1) ** i * math.comb(k, i) * math.comb(j - i * (s + 1) + k - 1, k - 1)
+                    for i in range(j // (s + 1) + 1)
+                )
+                for j in range(n + 1)
+            ]
+            poly = [sum(poly[i] * factor[j - i] for i in range(j + 1)) for j in range(n + 1)]
+        return poly[n]
 
+    def classes(self, n: int, distinct: bool) -> np.ndarray:
+        """Every class of n-multisets of the support (those that hold an
+        n-subset when distinct) as the sorted rows of an int64 array over
+        range(R), R the number of orbits, in lexicographic order.  Under
+        the trivial group these are the sorted n-tuples of cells
+        (strictly increasing when distinct)."""
+        r = self.reps.size
+        rows = np.arange(r, dtype=np.int64)[:, None]
+        run = np.ones(r, dtype=np.int64)
+        for _ in range(n - 1):
+            last = rows[:, -1]
+            # when distinct, orbit q repeats at most sizes[q] times
+            start = last + (run >= self.sizes[last]) if distinct else last
+            counts = r - start
+            offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            nxt = np.repeat(start, counts) + offset
+            if distinct:
+                run = np.where(nxt == np.repeat(last, counts), np.repeat(run, counts) + 1, 1)
+            rows = np.concatenate([np.repeat(rows, counts, axis=0), nxt[:, None]], axis=1)
+        return rows
 
-def _sorted_tuples(first: np.ndarray, m: int, n: int, distinct: bool) -> np.ndarray:
-    """All sorted n-tuples over range(m) whose first element is in first,
-    in lexicographic order, as the rows of an int64 array; strictly
-    increasing when distinct."""
-    rows = np.asarray(first, dtype=np.int64)[:, None]
-    for _ in range(n - 1):
-        start = rows[:, -1] + (1 if distinct else 0)
-        counts = np.maximum(m - start, 0)
-        offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        nxt = np.repeat(start, counts) + offset
-        rows = np.concatenate([np.repeat(rows, counts, axis=0), nxt[:, None]], axis=1)
-    return rows
+    def cheapest(self, classes: np.ndarray, recip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cheapest multiset of every class, as its sorted row of cells,
+        and its cost, the pair sum over the reciprocal matrix recip.
+
+        Every multiset of class (Q1, ..., QN) has an image whose first
+        cell is the representative of Q1, since the group maps Q1 onto
+        itself, and images cost the same when recip is invariant.  So the
+        minimum is taken over rep(Q1) x Q2 x ... x QN, enumerated in
+        blocks of about _ENUM_BUDGET entries; ties go to the first in that
+        order.  Under the trivial group each class has one member.
+        """
+        classes = np.asarray(classes, dtype=np.int64)
+        k, n = classes.shape
+        counts = np.prod(self.sizes[classes[:, 1:]], axis=1)
+        ends = np.cumsum(counts)
+        rows = np.empty((k, n), dtype=np.int64)
+        costs = np.empty(k)
+        lo = 0
+        while lo < k:
+            done = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + _ENUM_BUDGET // n, side="right")))
+            part, cnt = classes[lo:hi], counts[lo:hi]
+            heads = np.cumsum(cnt) - cnt
+            seg = np.repeat(np.arange(hi - lo), cnt)
+            offset = np.arange(ends[hi - 1] - done) - heads[seg]
+            cells = np.empty((offset.size, n), dtype=np.int64)
+            for i in range(n - 1, 0, -1):
+                q = part[seg, i]
+                size = self.sizes[q]
+                cells[:, i] = self.by_orbit[self.starts[q] + offset % size]
+                offset //= size
+            cells[:, 0] = self.reps[part[seg, 0]]
+            cost = tuple_costs(recip, cells)
+            low = np.minimum.reduceat(cost, heads)
+            hits = np.flatnonzero(cost == np.repeat(low, cnt))
+            rows[lo:hi] = np.sort(cells[hits[np.searchsorted(hits, heads)]], axis=1)
+            costs[lo:hi] = low
+            lo = hi
+        return rows, costs

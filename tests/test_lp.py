@@ -1,6 +1,11 @@
 """Revised simplex engine against a dense-tableau reference solver."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -303,6 +308,41 @@ def test_column_generation_reaches_full_pool_optimum():
     assert capped == pytest.approx(full, abs=1e-9)
 
 
+def test_column_generation_does_not_import_numpy_ma():
+    # np.unique without an optional output imports numpy.ma on first use
+    # (about 1 MB and 30 ms per process); pooling generated classes must
+    # not reach it.  A fresh interpreter, since this one may hold it.
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from mmot import lp
+        added = []
+        add = lp._MultisetColumns.add
+        def counted(self, classes):
+            added.append(add(self, classes))
+            return added[-1]
+        lp._MultisetColumns.add = counted
+        rng = np.random.default_rng(83)
+        m, n = 7, 3
+        w = rng.uniform(0.5, 1.5, size=m)
+        w /= w.sum()
+        recip = rng.uniform(0.2, 1.0, size=(m, m))
+        recip = 0.5 * (recip + recip.T)
+        lp.solve_transport(w, recip, n, pool_cap=m)
+        print(sum(added), "numpy.ma" in sys.modules)
+        """
+    )
+    src = str(Path(lp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    pooled, imported = done.stdout.split()
+    assert int(pooled) > 0
+    assert imported == "False"
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_maintained_inverse_stays_the_basis_inverse(monkeypatch, n):
     # row-sparse updates on the multiset LP of a random symmetric pair
@@ -337,12 +377,13 @@ def test_multiset_entering_bland_skips_excluded_ids_across_chunks():
     recip = rng.uniform(0.2, 1.0, size=(m, m))
     recip = 0.5 * (recip + recip.T)
     sym = Symmetry(np.arange(m)[None, :])
-    prov = lp._MultisetColumns(recip, 3, sym.representatives(3, False), sym)
+    prov = lp._MultisetColumns(recip, 3, sym.classes(3, False), sym)
+    assert np.array_equal(prov.members, prov.classes)
     y = np.zeros(m)
     y[m - 1] = 10.0
     prov.begin_iteration(y)
-    hits = np.flatnonzero(prov.costs - y[prov.pool].sum(axis=1) < -1e-9)
-    assert hits[0] < lp._SCAN_CHUNK < hits[-1] < prov.pool.shape[0]
+    hits = np.flatnonzero(prov.costs - y[prov.classes].sum(axis=1) < -1e-9)
+    assert hits[0] < lp._SCAN_CHUNK < hits[-1] < prov.classes.shape[0]
     none = np.empty(0, dtype=np.int64)
     assert prov.entering_bland(2, 1e-9, none) == hits[0]
     # every violator of the first chunk and the first of the second excluded
@@ -350,6 +391,28 @@ def test_multiset_entering_bland_skips_excluded_ids_across_chunks():
     exclude = np.concatenate([hits[hits < lp._SCAN_CHUNK], later[:1], [0, lp._SCAN_CHUNK]])
     assert prov.entering_bland(2, 1e-9, exclude) == later[1]
     assert prov.entering_bland(2, 1e-9, hits) is None
+
+
+def test_multiset_add_pools_each_new_class_once():
+    # the point swap 0 <-> 1 makes orbits {0, 1}, {2}, {3}; classes are
+    # sorted pairs of those three orbits, pooled at their cheapest pair
+    m = 4
+    rng = np.random.default_rng(11)
+    recip = rng.uniform(0.2, 1.0, size=(m, m))
+    swap = np.array([1, 0, 2, 3])
+    recip = 0.5 * (recip + recip[np.ix_(swap, swap)])
+    recip = 0.5 * (recip + recip.T)
+    sym = Symmetry(np.array([np.arange(m), swap]))
+    prov = lp._MultisetColumns(recip, 2, np.array([[0, 1], [1, 1]]), sym)
+    assert prov.add(np.array([[2, 2], [0, 0], [0, 1], [2, 2], [0, 2]])) == 3
+    assert prov.add(np.array([[0, 2], [1, 2]])) == 1
+    assert prov.classes.tolist() == [[0, 1], [1, 1], [0, 0], [0, 2], [2, 2], [1, 2]]
+    assert prov.sorted_codes.tolist() == [0, 1, 2, 4, 5, 8]
+    for (a, b), (i, j), cost in zip(prov.classes.tolist(), prov.members.tolist(), prov.costs):
+        assert (sym.cell_orbit[i], sym.cell_orbit[j]) == (a, b)
+        pairs = [recip[x, y] for x in range(m) for y in range(x, m)
+                 if sorted(sym.cell_orbit[[x, y]].tolist()) == [a, b]]
+        assert cost == min(pairs) == recip[i, j]
 
 
 def test_dense_scans_skip_excluded_ids():
@@ -553,17 +616,44 @@ def test_weight_inside_the_guard_above_one_over_n_is_solved(n, excess):
     assert value == pytest.approx(n * float(u_mat[0] @ w), rel=1e-9)
 
 
-def test_column_generation_past_the_pool_cap_certifies_1d_ball():
-    # d = 1, level 7, N = 3: 256 cells and 1.41 M multiset orbits under the
-    # reflection, past the pool cap; the pool starts from the quantile-shift
-    # pieces, which are optimal on the line
-    n, level = 3, 7
+def test_degenerate_pool_leaves_blands_rule_between_episodes(monkeypatch):
+    # d = 1, level 6, N = 4: 766 480 classes under the cap.  The start is
+    # already optimal but degenerate, with an infeasible vertex dual;
+    # Bland's rule alone runs for tens of thousands of pivots there,
+    # while episodes let the usual pricing finish in under a thousand
+    pivot = lp._SimplexEngine._pivot
+    pivots = []
+
+    def counted(engine, *args):
+        pivots.append(engine.k)
+        assert len(pivots) <= 5000
+        pivot(engine, *args)
+
+    monkeypatch.setattr(lp._SimplexEngine, "_pivot", counted)
+    n, level = 4, 6
     mu = discretize(UniformBall(center=(0.0,), radius=1.0), GridSpec(level, 1.0, 1))
+    support = mu.support()
+    w = [mu.atoms[c] for c in support]
+    _, _, value = solve_mmot(mu, coulomb(n))
+    want = quantile_shift_value(
+        w, lambda a, b: 1.0 / box_sup_dist(support[a], support[b], level), n
+    )
+    assert value == pytest.approx(want, abs=1e-12)
+    assert len(pivots) > 2 * lp._STALL_LIMIT
+
+
+def test_column_generation_past_the_pool_cap_certifies_1d_ball():
+    # d = 1, level 7, N = 3, off center: 205 cells, the trivial group and
+    # 1.46 M classes, past the pool cap; the pool starts from the
+    # quantile-shift pieces, which are optimal on the line
+    n, level = 3, 7
+    mu = discretize(UniformBall(center=(0.2,), radius=0.8), GridSpec(level, 1.0, 1))
     support = mu.support()
     w = np.array([mu.atoms[c] for c in support])
     recip = _support_recip(coulomb(n), mu.grid, support, "cell", None)
     sym = Symmetry(symmetry_group(np.array(support), mu.grid, w, recip))
-    assert sym.orbit_count(n, False) > lp._POOL_CAP
+    assert sym.perms.shape[0] == 1
+    assert sym.class_count(n, False) > lp._POOL_CAP
     plan, pots, value = solve_mmot(mu, coulomb(n))
     want = quantile_shift_value(
         w.tolist(), lambda a, b: 1.0 / box_sup_dist(support[a], support[b], level), n

@@ -1,5 +1,5 @@
-"""Symmetry-reduced LP: group detection, orbit enumeration, and the orbit
-LP against the unreduced multiset LP."""
+"""Symmetry-reduced LP: group detection, classes of multisets and their
+cheapest members, and the class LP against the unreduced multiset LP."""
 
 import itertools
 import math
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmot import lp
+from mmot import lp, symmetry
 from mmot.cost import coulomb, pair_recip_matrix
 from mmot.grid import GridSpec
 from mmot.lp import solve_mmot, solve_transport
@@ -130,6 +130,9 @@ def test_orbit_lp_equals_the_unreduced_lp(instance):
     atoms, u_mat, value = solve_transport(w, recip, n, group=perms)
     _, _, plain = solve_transport(w, recip, n)
     assert value == pytest.approx(plain, abs=1e-12)
+    # past the cap, column generation pools the classes of violating tuples
+    _, _, generated = solve_transport(w, recip, n, group=perms, pool_cap=0)
+    assert generated == pytest.approx(plain, abs=1e-12)
     assert max_dual_excess(u_mat, recip) <= 1e-9 * lp._cost_scale(recip, n)
     for slot in range(n):
         marg = np.zeros(w.size)
@@ -140,16 +143,41 @@ def test_orbit_lp_equals_the_unreduced_lp(instance):
 
 @settings(max_examples=40, deadline=None)
 @given(invariant_instances(), st.booleans())
-def test_representatives_are_the_orbit_minima(instance, distinct):
-    w, _, n, perms = instance
+def test_class_pool_holds_the_cheapest_multiset_of_each_class(instance, distinct):
+    # brute force: every multiset (subset when distinct, with an infinite
+    # diagonal as in pointwise mode) grouped by its sorted tuple of orbits
+    w, recip, n, perms = instance
     m = w.size
+    if distinct:
+        recip = recip.copy()
+        np.fill_diagonal(recip, math.inf)
     tuples = itertools.combinations(range(m), n) if distinct else (
         itertools.combinations_with_replacement(range(m), n)
     )
-    want = sorted({min(tuple(sorted(p[i] for i in t)) for p in perms.tolist()) for t in tuples})
     sym = Symmetry(perms)
-    assert [tuple(r) for r in sym.representatives(n, distinct).tolist()] == want
-    assert sym.orbit_count(n, distinct) == len(want)
+    want: dict[tuple[int, ...], float] = {}
+    for t in tuples:
+        key = tuple(sorted(sym.cell_orbit[list(t)].tolist()))
+        cost = math.fsum(recip[t[i], t[j]] for i in range(n) for j in range(i + 1, n))
+        want[key] = min(want.get(key, math.inf), cost)
+    classes = sym.classes(n, distinct)
+    assert [tuple(c) for c in classes.tolist()] == sorted(want)
+    assert sym.class_count(n, distinct) == len(want)
+    prov = lp._MultisetColumns(recip, n, classes, sym)
+    assert np.array_equal(prov.classes, classes)
+    assert np.array_equal(np.sort(sym.cell_orbit[prov.members], axis=1), classes)
+    assert (np.diff(prov.members, axis=1) >= 0).all()
+    assert np.abs(prov.costs - [want[tuple(c)] for c in classes.tolist()]).max() <= 1e-12
+    pair_sums = [
+        math.fsum(recip[t[i], t[j]] for i in range(n) for j in range(i + 1, n))
+        for t in prov.members.tolist()
+    ]
+    assert np.abs(prov.costs - pair_sums).max() <= 1e-12
+    # blocks of a few classes find the same members
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symmetry, "_ENUM_BUDGET", 4 * n)
+        rows, costs = sym.cheapest(classes, recip)
+    assert np.array_equal(rows, prov.members) and np.array_equal(costs, prov.costs)
 
 
 def test_refined_potential_is_the_cell_level_min_norm():
@@ -171,8 +199,8 @@ def test_refined_potential_is_the_cell_level_min_norm():
 
 def test_scale_instance_certified():
     # d = 3, level 3, N = 2: 2584 cells and 3.34 M multisets, past the
-    # pool cap unreduced; 76 cell orbits and 71 782 multiset orbits under
-    # the 48 symmetries of the centered ball
+    # pool cap unreduced; 76 cell orbits and 2926 classes under the 48
+    # symmetries of the centered ball
     mu = discretize(UniformBall(center=(0.0, 0.0, 0.0), radius=1.0), GridSpec(3, 1.0, 3))
     assert len(mu.atoms) == 2584
     plan, pots, value = solve_mmot(mu, coulomb(2))
@@ -190,7 +218,8 @@ def test_plan_lift_matches_the_per_orbit_loop(d, n):
     mu = discretize(UniformBall(center=(0.0,) * d, radius=1.0), GridSpec(1, 1.0, d))
     perms = _group_of(mu, n)
     sym = Symmetry(perms)
-    pool = sym.representatives(n, False)
+    recip = _support_recip(coulomb(n), mu.grid, mu.support(), "cell", None)
+    pool = lp._MultisetColumns(recip, n, sym.classes(n, False), sym).members
     rng = np.random.default_rng(10 * d + n)
     picks = rng.choice(pool.shape[0], size=min(40, pool.shape[0]), replace=False)
     primal = {int(j): float(x) for j, x in zip(picks, rng.uniform(0.01, 1.0, size=picks.size))}
