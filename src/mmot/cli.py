@@ -88,6 +88,16 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _note_bound(command: str, report) -> None:
+    """Say why the report's potential bound is NaN: bound_parameters
+    found no off-diagonal atom (NoOffDiagonalSupport)."""
+    if math.isnan(report.potential_bound):
+        _note(
+            f"{command}: potential bound is nan: no plan atom in the window keeps "
+            f"all slots strictly apart, so the a priori bound does not apply"
+        )
+
+
 def _json_clean(v):
     if isinstance(v, float) and not math.isfinite(v):
         return repr(v)
@@ -302,6 +312,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         m_fraction=m_fraction,
         feas_tol=feas_tol,
     )
+    _note_bound("solve", report)
     plan_path = cfg.get("out", None, str)
     if plan_path:
         save_plan(plan, plan_path)
@@ -427,6 +438,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         sys.stdout.write(report.to_json() + "\n")
     else:
         sys.stdout.write(report.to_kv_block())
+    _note_bound("verify", report)
     scale = feas_tol * (1.0 + abs(report.primal_value))
     reasons = []
     if report.relative_gap > gap_tol:

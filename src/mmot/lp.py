@@ -74,15 +74,19 @@ class of finite cost, a pricing scan could find nothing, and none runs:
 the simplex's final full scan over the pool is the certificate.
 
 The potential returned for the coupling problem is refined after
-optimality: among all potentials tight on the classes of the optimal
-multisets, the minimum-norm one is selected when it stays feasible,
-which makes the reported potential independent of the pivot order.
+optimality: among all potentials tight on the basic classes of positive
+mass, the minimum-norm one is selected when it stays feasible, which
+makes the reported potential independent of the pivot order.  It is
+solved for from the pool, one unknown per cell orbit and one equation
+per class at its pooled cost.  With every finite class pooled its
+feasibility is checked class by class against the pool; past the cap,
+by the exhaustive ordered scan.  solve_mmot reports the potential that
+solve_transport returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,47 +120,9 @@ _POOL_CAP = 1_100_000
 # cumulative weights leaves no sliver piece that repeats a cell
 _SLIVER = 1e-13
 _PRICE_BATCH = 50
-_MAX_ROUNDS = 2_000
-
-
-@dataclass(frozen=True)
-class StandardLP:
-    """min c.x subject to A x = b, x >= 0, with dense data."""
-
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if A.ndim != 2 or c.ndim != 1 or b.ndim != 1:
-            raise ValueError("A must be a matrix, c and b vectors")
-        if A.shape != (b.size, c.size):
-            raise ValueError(
-                f"shape mismatch: A is {A.shape}, expected ({b.size}, {c.size})"
-            )
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "b", b)
-
-
-@dataclass
-class LPSolution:
-    """Outcome of one LP solve.
-
-    status is 'optimal', 'infeasible', or 'unbounded'.  primal maps column
-    ids to values (basic columns only).  dual is the row multiplier vector.
-    certificate holds a Farkas vector y (y.b > 0, A^T y <= tol) when
-    infeasible, or an unbounded ray as a column-id map when unbounded.
-    """
-
-    status: str
-    primal: dict[int, float]
-    dual: np.ndarray
-    objective_value: float
-    certificate: object = None
+# the minimum-norm refinement solves a dense (classes, orbits) system, so
+# instances with more cell orbits than this keep the vertex potential
+_REFINE_MAX_ORBITS = 2400
 
 
 def _top_violators(red: np.ndarray, tol: float, topk: int) -> np.ndarray:
@@ -176,53 +142,6 @@ def _first_outside(ids: np.ndarray, exclude: np.ndarray):
     """The first of the ascending ids not in exclude, or None."""
     ids = ids[~np.isin(ids, exclude)]
     return int(ids[0]) if ids.size else None
-
-
-class _DenseColumns:
-    """Column provider backed by an explicit matrix."""
-
-    def __init__(self, A: np.ndarray, c: np.ndarray):
-        self.A = A
-        self.c = c
-        self._y = None
-
-    def ncols(self) -> int:
-        return self.c.size
-
-    def column(self, j: int) -> np.ndarray:
-        return self.A[:, j]
-
-    def cost(self, j: int) -> float:
-        return float(self.c[j])
-
-    def max_abs_cost(self) -> float:
-        return float(np.max(np.abs(self.c))) if self.c.size else 0.0
-
-    def begin_iteration(self, y: np.ndarray) -> None:
-        self._y = y
-
-    def _reduced(self, phase: int) -> np.ndarray:
-        red = -(self._y @ self.A)
-        if phase == 2:
-            red = self.c + red
-        return red
-
-    def reduced_for(self, phase: int, ids: np.ndarray) -> np.ndarray:
-        red = -(self._y @ self.A[:, ids])
-        if phase == 2:
-            red = self.c[ids] + red
-        return red
-
-    def full_scan(self, phase, tol, topk, exclude) -> np.ndarray:
-        red = self._reduced(phase)
-        red[exclude] = 0.0
-        return _top_violators(red, tol, topk)
-
-    def entering_bland(self, phase, tol, exclude):
-        return _first_outside(np.flatnonzero(self._reduced(phase) < -tol), exclude)
-
-    def first_nonzero(self, w: np.ndarray, tol: float, exclude: np.ndarray):
-        return _first_outside(np.flatnonzero(np.abs(w @ self.A) > tol), exclude)
 
 
 def _pooled(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -298,6 +217,11 @@ class _MultisetColumns:
         for i in range(1, self.n):
             used += y.take(classes[:, i])
         return used
+
+    def max_excess(self, y: np.ndarray) -> float:
+        """The largest sum of y over a pooled class's slots minus its
+        cost."""
+        return float(np.max(self._used(y, self.classes) - self.costs))
 
     def begin_iteration(self, y: np.ndarray) -> None:
         self._y = y
@@ -398,18 +322,13 @@ def _exchange(Binv: np.ndarray, leave: int, d: np.ndarray) -> np.ndarray:
     return touched
 
 
-class _Unbounded(Exception):
-    def __init__(self, ray):
-        self.ray = ray
-
-
 class _LostFeasibility(Exception):
     """Raised when a fresh factorization reveals that accumulated update
     error pushed the basic solution out of the feasible region."""
 
 
 class _SimplexEngine:
-    """Revised simplex over an abstract column provider.
+    """Revised simplex over the class columns of a _MultisetColumns pool.
 
     The engine keeps an explicit basis inverse.  A pivot computes the
     direction from the entering column's nonzeros and updates only the
@@ -419,40 +338,29 @@ class _SimplexEngine:
     factorization, and the inverse is rebuilt from the exact columns once
     any row reaches refactor_every of them, or right after a tiny pivot.
 
-    Rows with negative right-hand side are sign-flipped internally;
-    providers always see raw-space row vectors.  Artificial ids are
-    -(row + 1), never renumbered, never re-entered.  The start basis is
-    initial_basis, column ids (real or artificial, one per row), or all
-    artificials when it is None.  It must be nonsingular and primal
-    feasible; phase 1 runs only when a basic artificial sits at a
-    positive level.  solve_transport passes the crash basis of the
-    quantile-shift coupling (_crash_basis).
+    The right-hand side b is N times the orbit weights, so positive, and
+    every feasible plan carries total mass 1, so both phases are bounded.
+    Artificial ids are -(row + 1), never renumbered, never re-entered.
+    The start basis, column ids (real or artificial, one per row), must
+    be nonsingular and primal feasible; phase 1 runs only when a basic
+    artificial sits at a positive level.  solve_transport passes the
+    crash basis of the quantile-shift coupling (_crash_basis).
     """
 
     def __init__(
         self,
         provider,
         b: np.ndarray,
+        initial_basis,
         *,
         feas_tol: float = _FEAS_TOL,
-        pivot_tol: float = _PIVOT_TOL,
-        max_iters: int = _MAX_ITERS,
-        initial_basis=None,
     ):
         self.prov = provider
-        b = np.asarray(b, dtype=float)
-        self.k = b.size
-        self.row_sign = np.where(b < 0.0, -1.0, 1.0)
-        self.b = self.row_sign * b
+        self.b = np.asarray(b, dtype=float)
+        self.k = self.b.size
+        self.scale = 1.0 + float(self.b.max(initial=0.0))
         self.feas_tol = feas_tol
-        self.pivot_tol = pivot_tol
-        self.max_iters = max_iters
-        if initial_basis is None:
-            self.basis = -np.arange(1, self.k + 1, dtype=np.int64)
-        else:
-            if len(initial_basis) != self.k:
-                raise ValueError("initial basis must have one column per row")
-            self.basis = np.array(initial_basis, dtype=np.int64).reshape(self.k)
+        self.basis = np.array(initial_basis, dtype=np.int64).reshape(self.k)
         self.phase = 1
         self.refactor_every = _REFACTOR_EVERY
         try:
@@ -460,14 +368,14 @@ class _SimplexEngine:
         except _LostFeasibility as exc:
             raise NumericalBreakdown("initial basis is primal infeasible") from exc
         art_mass = float(self.xB[self.basis < 0].sum()) if self.k else 0.0
-        self.phase1_done = art_mass <= feas_tol * (1.0 + float(np.abs(self.b).max(initial=0.0)))
+        self.phase1_done = art_mass <= feas_tol * self.scale
 
     def _column(self, j: int) -> np.ndarray:
         if j < 0:
             col = np.zeros(self.k)
             col[-j - 1] = 1.0
             return col
-        return self.row_sign * self.prov.column(j)
+        return self.prov.column(j)
 
     def _direction(self, j: int) -> np.ndarray:
         """B^-1 a_j from the nonzeros of a_j alone."""
@@ -498,7 +406,7 @@ class _SimplexEngine:
             raise NumericalBreakdown("basis matrix became singular") from exc
         self.row_updates = np.zeros(self.k, dtype=np.int64)
         self.xB = self.Binv @ self.b
-        if self.xB.min(initial=0.0) < -1e-7 * (1.0 + float(np.abs(self.b).max(initial=0.0))):
+        if self.xB.min(initial=0.0) < -1e-7 * self.scale:
             raise _LostFeasibility(float(self.xB.min()))
         np.clip(self.xB, 0.0, None, out=self.xB)
         self._set_phase(self.phase)
@@ -517,10 +425,10 @@ class _SimplexEngine:
         id keeps the anti-cycling argument intact."""
         art_kick = (
             (self.basis < 0)
-            & (np.abs(d) > self.pivot_tol)
+            & (np.abs(d) > _PIVOT_TOL)
             & (self.xB <= _ZERO_TOL)
         )
-        pos = d > self.pivot_tol
+        pos = d > _PIVOT_TOL
         ratios = np.full(self.k, math.inf)
         ratios[pos] = np.maximum(self.xB[pos], 0.0) / d[pos]
         ratios[art_kick] = 0.0
@@ -566,9 +474,8 @@ class _SimplexEngine:
         # candidates come from full scans, which skip basic columns, and a
         # candidate turns basic only by entering
         cand = np.empty(0, dtype=np.int64)
-        for _ in range(self.max_iters):
-            y = self.row_sign * self._duals()
-            self.prov.begin_iteration(y)
+        for _ in range(_MAX_ITERS):
+            self.prov.begin_iteration(self._duals())
             if bland:
                 j = self.prov.entering_bland(phase, tol, self._basic())
                 if j is None:
@@ -590,15 +497,9 @@ class _SimplexEngine:
             d = self._direction(j)
             leave, theta = self._ratio_test(d, bland)
             if leave is None:
-                if phase == 1:
-                    raise NumericalBreakdown(
-                        "phase-1 objective is bounded but no pivot row qualifies"
-                    )
-                ray = {j: 1.0}
-                for r in range(self.k):
-                    if abs(d[r]) > _ZERO_TOL:
-                        ray[int(self.basis[r])] = -float(d[r])
-                raise _Unbounded(ray)
+                raise NumericalBreakdown(
+                    f"phase-{phase} objective is bounded but no pivot row qualifies"
+                )
             self._pivot(j, leave, d, theta)
             obj = self._objective()
             if obj < last_obj - 1e-12 * (1.0 + abs(last_obj)):
@@ -611,73 +512,58 @@ class _SimplexEngine:
                 elif bland and stall >= episode:
                     bland, stall, episode = False, 0, 2 * episode
             last_obj = obj
-        raise NumericalBreakdown(f"simplex exceeded {self.max_iters} iterations")
+        raise NumericalBreakdown(f"simplex exceeded {_MAX_ITERS} iterations")
 
     def _drive_out_artificials(self) -> None:
         for r in range(self.k):
             if self.basis[r] >= 0 or self.xB[r] > _ZERO_TOL:
                 continue
-            w = self.row_sign * self.Binv[r]
-            j = self.prov.first_nonzero(w, self.pivot_tol, self._basic())
+            j = self.prov.first_nonzero(self.Binv[r], _PIVOT_TOL, self._basic())
             if j is None:
                 continue
             d = self._direction(j)
-            if abs(d[r]) > self.pivot_tol:
+            if abs(d[r]) > _PIVOT_TOL:
                 self._pivot(j, r, d, 0.0)
 
-    def optimize(self):
+    def optimize(self) -> tuple[dict[int, float], np.ndarray, float]:
         """Run to optimality (phase 1 first if artificials still carry
-        mass).  Returns (status, primal, dual_raw, objective,
-        certificate)."""
+        mass).  Returns the basic columns of positive level with their
+        levels, the row duals and the objective."""
         restarts = 0
-        try:
-            while True:
-                try:
-                    if not self.phase1_done:
-                        self._optimize_phase(1)
-                        obj1 = self._objective()
-                        scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
-                        if obj1 > self.feas_tol * scale:
-                            y = self.row_sign * self._duals()
-                            return "infeasible", {}, y, obj1, y
-                        self.phase1_done = True
-                    self._drive_out_artificials()
-                    self._optimize_phase(2)
-                    self._refactor()
-                    self._optimize_phase(2)
-                    break
-                except _LostFeasibility as exc:
-                    restarts += 1
-                    if restarts > 3:
-                        raise NumericalBreakdown(
-                            f"basis updates kept losing feasibility ({exc.args[0]!r})"
-                        ) from exc
-                    # Restore feasibility honestly: fall back to the
-                    # all-artificial basis and rerun phase 1 with tighter
-                    # refactoring.  Generated columns are retained.
-                    self.refactor_every = max(10, self.refactor_every // 4)
-                    self.basis = -np.arange(1, self.k + 1, dtype=np.int64)
-                    self.phase = 1
-                    self._refactor()
-                    self.phase1_done = False
-        except _Unbounded as exc:
-            return "unbounded", {}, np.zeros(self.k), -math.inf, exc.ray
+        while True:
+            try:
+                if not self.phase1_done:
+                    self._optimize_phase(1)
+                    if self._objective() > self.feas_tol * self.scale:
+                        raise InsufficientSupport(
+                            "the coupling constraints admit no nonnegative solution on "
+                            "the available support"
+                        )
+                    self.phase1_done = True
+                self._drive_out_artificials()
+                self._optimize_phase(2)
+                self._refactor()
+                self._optimize_phase(2)
+                break
+            except _LostFeasibility as exc:
+                restarts += 1
+                if restarts > 3:
+                    raise NumericalBreakdown(
+                        f"basis updates kept losing feasibility ({exc.args[0]!r})"
+                    ) from exc
+                # Restore feasibility honestly: fall back to the
+                # all-artificial basis and rerun phase 1 with tighter
+                # refactoring.  Generated columns are retained.
+                self.refactor_every = max(10, self.refactor_every // 4)
+                self.basis = -np.arange(1, self.k + 1, dtype=np.int64)
+                self.phase = 1
+                self._refactor()
+                self.phase1_done = False
         primal = {}
         for r in range(self.k):
             if self.basis[r] >= 0 and self.xB[r] > 0.0:
                 primal[int(self.basis[r])] = float(self.xB[r])
-        y = self.row_sign * self._duals()
-        return "optimal", primal, y, self._objective(), None
-
-
-def solve_lp(lp: StandardLP, *, feas_tol: float = _FEAS_TOL) -> LPSolution:
-    """Solve a dense equality-form LP with the revised simplex engine."""
-    prov = _DenseColumns(lp.A, lp.c)
-    engine = _SimplexEngine(prov, lp.b, feas_tol=feas_tol)
-    status, primal, dual, obj, cert = engine.optimize()
-    if status == "unbounded":
-        obj = -math.inf
-    return LPSolution(status, primal, dual, obj, cert)
+        return primal, self._duals(), self._objective()
 
 
 def _quantile_pieces(w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -811,8 +697,6 @@ def solve_transport(
     *,
     feas_tol: float = _FEAS_TOL,
     pool_cap: int = _POOL_CAP,
-    batch: int = _PRICE_BATCH,
-    max_rounds: int = _MAX_ROUNDS,
     group: np.ndarray | None = None,
 ):
     """Solve the abstract equal-marginal coupling LP in its multiset form.
@@ -828,11 +712,14 @@ def solve_transport(
     as row 0, is a symmetry group of the instance: w and the pair matrix
     must be invariant under it, bitwise (only w is checked here).  The LP
     is then solved on cell orbits and classes of multisets; None means
-    the trivial group.  Returns (atoms, u_mat, value): the optimal ordered
-    plan, which spreads each basic class's mass evenly over the distinct
-    images of its cheapest multiset and each of those over its N cyclic
-    shifts, the potential u repeated as the N rows of an (N, m) array,
-    and the optimal value.
+    the trivial group.  Classes of more multisets than pool_cap are
+    pooled by column generation.  Returns (atoms, u_mat, value): the
+    optimal ordered plan, which spreads each basic class's mass evenly
+    over the distinct images of its cheapest multiset and each of those
+    over its N cyclic shifts, the potential u repeated as the N rows of
+    an (N, m) array, and the optimal value.  u is the minimum-norm
+    potential tight on the plan's classes when that one is feasible, and
+    the simplex's vertex dual otherwise (_min_norm_potential).
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -870,48 +757,84 @@ def solve_transport(
         raise InsufficientSupport("every candidate coupling tuple has infinite cost")
     b = n * np.bincount(sym.cell_orbit, weights=w)
     basis = _crash_basis(prov, b, codes, mass)
-    engine = _SimplexEngine(prov, b, feas_tol=feas_tol, initial_basis=basis)
+    engine = _SimplexEngine(prov, b, basis, feas_tol=feas_tol)
     price_tol = feas_tol * _cost_scale(recip, n)
-    for _ in range(max_rounds):
-        status, primal, y, obj, cert = engine.optimize()
-        if status == "infeasible":
-            raise InsufficientSupport(
-                "the coupling constraints admit no nonnegative solution on "
-                "the available support"
-            )
-        if status == "unbounded":
-            raise NumericalBreakdown(
-                "coupling LP reported unbounded despite nonnegative costs"
-            )
-        u = y[sym.cell_orbit]
+    while True:
+        primal, y, obj = engine.optimize()
         # with every finite class pooled a pricing scan finds nothing, as
         # each class is skipped and infinite costs never violate, so the
-        # simplex's full scan over the pool is the certificate
-        if not complete:
-            fresh = price_columns(
-                u, recip, n, tol=price_tol, skip=prov.sorted_codes, batch=batch,
-                orbits=sym.cell_orbit,
-            )
-            if fresh.shape[0]:
-                prov.add(fresh)
-                continue
-        idx, x = _lift_plan(primal, prov.members, sym.perms, (m,) * n)
-        atoms = dict(zip(map(tuple, idx.tolist()), x.tolist()))
-        return atoms, np.tile(u, (n, 1)), obj
-    raise NumericalBreakdown(f"column generation did not settle in {max_rounds} rounds")
+        # simplex's full scan over the pool is the certificate; otherwise
+        # every round pools at least one class, so the rounds end
+        if complete:
+            break
+        fresh = price_columns(
+            y[sym.cell_orbit], recip, n, tol=price_tol, skip=prov.sorted_codes,
+            orbits=sym.cell_orbit,
+        )
+        if not fresh.shape[0]:
+            break
+        prov.add(fresh)
+    idx, x, lowest = _lift_plan(primal, prov.members, sym.perms, (m,) * n)
+    # lstsq rounds by row order: one equation per class, in the order of
+    # its smallest sorted multiset in the plan
+    ids = np.fromiter(primal, dtype=np.int64, count=len(primal))[np.argsort(lowest)]
+    u = _min_norm_potential(prov, ids, y, price_tol, complete)[sym.cell_orbit]
+    atoms = dict(zip(map(tuple, idx.tolist()), x.tolist()))
+    return atoms, np.tile(u, (n, 1)), obj
+
+
+def _min_norm_potential(
+    prov: _MultisetColumns, ids: np.ndarray, y: np.ndarray, tol: float, complete: bool
+) -> np.ndarray:
+    """The minimum-norm orbit potential tight on the pooled classes ids,
+    or the vertex potential y when it is not dual feasible within tol.
+
+    Among the potentials tight on the optimal classes the minimum-norm
+    one does not depend on the pivot order that produced the vertex,
+    which stabilizes the reported potential; it is also invariant under
+    the symmetry group, so it is solved for with one unknown U_Q per cell
+    orbit and one equation per class of ids, at its pooled cost.
+    Weighting U_Q by sqrt|Q| makes its norm the norm of the lifted
+    potential.  U is orbit-constant, so an ordered tuple sums the U of
+    its class and costs at least the class's cheapest multiset: with
+    every finite class pooled, the pool's classes are its whole
+    feasibility check, and past the cap the ordered tuples are rescanned.
+    Falls back to y when there are more than _REFINE_MAX_ORBITS orbits,
+    and on a residual or feasibility failure.
+    """
+    sym = prov.sym
+    if sym.reps.size > _REFINE_MAX_ORBITS:
+        return y
+    tight, costs = prov.classes[ids], prov.costs[ids]
+    A = np.zeros((ids.size, sym.reps.size))
+    np.add.at(A, (np.repeat(np.arange(ids.size), prov.n), tight.ravel()), 1.0)
+    root = np.sqrt(sym.sizes)
+    sol, *_ = np.linalg.lstsq(A / root, costs, rcond=None)
+    sol = sol / root
+    if not np.isfinite(sol).all():
+        return y
+    if float(np.max(np.abs(A @ sol - costs))) > 1e-9 * (1.0 + float(np.max(np.abs(costs)))):
+        return y
+    if complete:
+        excess = prov.max_excess(sol)
+    else:
+        excess = max_dual_excess(np.tile(sol[sym.cell_orbit], (prov.n, 1)), prov.recip)
+    return y if excess > tol else sol
 
 
 def _lift_plan(
     primal: dict[int, float], pool: np.ndarray, perms: np.ndarray, dims: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ordered plan of a basic orbit solution.
 
     Each basic orbit's mass x is spread evenly over its distinct sorted
     images under the group perms, (x / images) apiece, and each image's
     share over its N cyclic shifts, (share / N) apiece.  Returns the
     distinct ordered index tuples as an int64 (atoms, N) array in
-    lexicographic order and their weights; a tuple reached by several
-    shifts sums them in the order basic column, image, shift, from 0.0.
+    lexicographic order, their weights, and the code of each basic
+    column's smallest sorted image, in the order of primal; a tuple
+    reached by several shifts sums them in the order basic column,
+    image, shift, from 0.0.
     Tuples are handled as base-m codes, whose order is the lexicographic
     one; shift s of code t is (t mod m^(N-s)) * m^s + t div m^(N-s).
     """
@@ -929,7 +852,7 @@ def _lift_plan(
     shifted = (images % low) * (m**n // low) + images // low
     tuples, inv = np.unique(shifted.ravel(), return_inverse=True)
     x = np.bincount(inv, weights=np.repeat(share, n))
-    return tuples[:, None] // radix % m, x
+    return tuples[:, None] // radix % m, x, codes[:, 0]
 
 
 def _check_group(group, w: np.ndarray) -> np.ndarray:
@@ -950,53 +873,6 @@ def _check_group(group, w: np.ndarray) -> np.ndarray:
     return perms
 
 
-def _refine_dual(
-    atoms_idx: dict[tuple[int, ...], float],
-    u_mat: np.ndarray,
-    recip: np.ndarray,
-    feas_tol: float,
-    group: np.ndarray,
-    *,
-    max_cells: int = 2400,
-) -> np.ndarray:
-    """Replace the vertex potential with the minimum-norm potential tight
-    on the optimal multisets, when that refinement stays dual feasible.
-
-    The minimum-norm solution does not depend on the pivot order that
-    produced the vertex, which stabilizes the reported potential; it is
-    also invariant under the symmetry group, so it is solved for with one
-    unknown U_Q per cell orbit and one equation per class of the optimal
-    multisets, at the class's cheapest cost.  Weighting U_Q by sqrt|Q|
-    makes its norm the norm of the lifted potential.  Falls back to the
-    input when there are more than max_cells orbits, and on any residual
-    or feasibility failure.
-    """
-    n = u_mat.shape[0]
-    sym = Symmetry(group)
-    if sym.reps.size > max_cells:
-        return u_mat
-    # one equation per class, in the order of its smallest sorted
-    # multiset in the plan, since lstsq rounds by row order
-    rows = sorted(set(map(tuple, np.sort(np.array(list(atoms_idx)), axis=1).tolist())))
-    keys = np.sort(sym.cell_orbit[np.array(rows, dtype=np.int64)], axis=1)
-    tight = np.array(list(dict.fromkeys(map(tuple, keys.tolist()))), dtype=np.int64)
-    _, costs = sym.cheapest(tight, recip)
-    A = np.zeros((tight.shape[0], sym.reps.size))
-    np.add.at(A, (np.repeat(np.arange(tight.shape[0]), n), tight.ravel()), 1.0)
-    root = np.sqrt(sym.sizes)
-    sol, *_ = np.linalg.lstsq(A / root, costs, rcond=None)
-    sol = sol / root
-    if not np.isfinite(sol).all():
-        return u_mat
-    resid = float(np.max(np.abs(A @ sol - costs)))
-    if resid > 1e-9 * (1.0 + float(np.max(np.abs(costs)))):
-        return u_mat
-    refined = np.tile(sol[sym.cell_orbit], (n, 1))
-    if max_dual_excess(refined, recip) > feas_tol * _cost_scale(recip, n):
-        return u_mat
-    return refined
-
-
 def solve_mmot(
     measure: DiscreteMeasure,
     model: CostModel,
@@ -1005,19 +881,20 @@ def solve_mmot(
     feas_tol: float = _FEAS_TOL,
     gap_tol: float = 1e-8,
     pool_cap: int = _POOL_CAP,
-    batch: int = _PRICE_BATCH,
-    max_rounds: int = _MAX_ROUNDS,
-    refine_duals: bool = True,
 ) -> tuple[TransportPlan, PotentialVector, float]:
     """Solve the discrete multimarginal problem for one measure.
 
     Returns the optimal plan, the dual potential u repeated in every
-    marginal slot, and the optimal value.  In cell mode tuples are priced by the finite
-    pairwise-separable lower bound, so diagonal tuples are admissible; in
-    pointwise mode coincident tuples cost infinity and are excluded, which
-    requires every cell weight to stay at or below 1/N.  The LP is solved
-    on the orbits of the grid symmetries that fix the support, the
-    weights and the pair matrix bitwise (see the module docstring).
+    marginal slot, and the optimal value.  u is solve_transport's
+    potential: the minimum-norm one tight on the optimal classes when it
+    is feasible, the vertex dual otherwise.  In cell mode tuples are
+    priced by the finite pairwise-separable lower bound, so diagonal
+    tuples are admissible; in pointwise mode coincident tuples cost
+    infinity and are excluded, which requires every cell weight to stay
+    at or below 1/N.  The LP is solved on the orbits of the grid
+    symmetries that fix the support, the weights and the pair matrix
+    bitwise (see the module docstring).  pool_cap bounds the classes
+    pooled up front; past it, columns are generated.
     """
     if cost_mode not in ("cell", "pointwise"):
         raise ValueError(f"cost_mode must be 'cell' or 'pointwise', got {cost_mode!r}")
@@ -1041,19 +918,10 @@ def solve_mmot(
     w = np.array([measure.atoms[c] for c in support])
     group = symmetry_group(np.array(support, dtype=np.int64), measure.grid, w, recip)
     atoms_idx, u_mat, value = solve_transport(
-        w,
-        recip,
-        n,
-        feas_tol=feas_tol,
-        pool_cap=pool_cap,
-        batch=batch,
-        max_rounds=max_rounds,
-        group=group,
+        w, recip, n, feas_tol=feas_tol, pool_cap=pool_cap, group=group
     )
     idx = np.array(list(atoms_idx), dtype=np.int64).reshape(-1, n)
     x = np.fromiter(atoms_idx.values(), dtype=float, count=len(atoms_idx))
-    if refine_duals:
-        u_mat = _refine_dual(atoms_idx, u_mat, recip, feas_tol, group)
     negative = np.flatnonzero(x < -1e-9)
     if negative.size:
         raise NumericalBreakdown(f"negative plan weight {float(x[negative[0]])!r}")

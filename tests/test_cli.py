@@ -207,6 +207,35 @@ def test_solve_saves_artifacts_verify_accepts_them(capsys, tmp_path):
     assert "verify: OK" in err
 
 
+def test_nan_potential_bound_is_explained_on_stderr(capsys, tmp_path):
+    # the level-1 ball with N = 3 has two cells, so every plan atom
+    # repeats one and bound_parameters finds no off-diagonal atom
+    plan_path = tmp_path / "out.plan"
+    pot_path = tmp_path / "out.potentials"
+    code, out, err = _run(
+        capsys,
+        [
+            "solve", "--density", "ball:center=0:radius=1", "--N", "3", "--level", "1",
+            "--R", "1", "--out", str(plan_path), "--potentials", str(pot_path),
+        ],
+    )
+    assert code == 0
+    assert json.loads(out)["potential_bound"] == "nan"
+    assert "solve: potential bound is nan: no plan atom in the window" in err
+    code, out, err = _run(
+        capsys, ["verify", "--plan", str(plan_path), "--potentials", str(pot_path)]
+    )
+    assert code == 0
+    assert "potential_bound=nan\n" in out
+    assert "verify: potential bound is nan: no plan atom in the window" in err
+    # a bound that applies gets no note
+    code, out, err = _run(
+        capsys,
+        ["solve", "--density", "ball:center=0:radius=1", "--N", "2", "--level", "2", "--R", "1"],
+    )
+    assert code == 0 and "potential bound" not in err
+
+
 def test_verify_json_output(capsys, tmp_path):
     plan_path = tmp_path / "out.plan"
     pot_path = tmp_path / "out.potentials"

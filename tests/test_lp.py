@@ -1,5 +1,6 @@
 """Revised simplex engine against a dense-tableau reference solver."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -17,10 +18,10 @@ from mmot import lp
 from mmot.cost import coulomb
 from mmot.errors import InsufficientSupport
 from mmot.grid import GridSpec
-from mmot.lp import StandardLP, solve_lp, solve_mmot, solve_transport
+from mmot.lp import solve_mmot, solve_transport
 from mmot.measure import FiniteAtomic, TruncatedGaussian, UniformBall, discretize
 from mmot.symmetry import Symmetry, symmetry_group
-from mmot.transport import DUAL_FEAS_TOL, _support_recip, verify_duality
+from mmot.transport import DUAL_FEAS_TOL, _support_recip, max_dual_excess, verify_duality
 
 from oracles import (
     box_sup_dist,
@@ -32,98 +33,30 @@ from oracles import (
 )
 
 
-def _random_feasible_lp(rng, k, ncols):
-    """Equality-form instance with a known feasible point."""
-    A = rng.normal(size=(k, ncols))
-    x0 = rng.uniform(0.0, 1.0, size=ncols)
-    b = A @ x0
-    c = rng.uniform(0.0, 2.0, size=ncols)
-    return StandardLP(c=c, A=A, b=b)
-
-
-def test_standard_lp_validation():
-    with pytest.raises(ValueError):
-        StandardLP(c=np.ones(3), A=np.ones((2, 2)), b=np.ones(2))
-    with pytest.raises(ValueError):
-        StandardLP(c=np.ones(2), A=np.ones(4), b=np.ones(2))
-
-
-def test_tiny_known_optimum():
-    # min x0 + 2 x1 s.t. x0 + x1 = 1  ->  x = (1, 0)
-    lp = StandardLP(c=np.array([1.0, 2.0]), A=np.array([[1.0, 1.0]]), b=np.array([1.0]))
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
-    assert sol.primal == {0: pytest.approx(1.0)}
-
-
-def test_negative_rhs_rows_are_handled():
-    # same LP written with a sign-flipped row
-    lp = StandardLP(
-        c=np.array([1.0, 2.0]), A=np.array([[-1.0, -1.0]]), b=np.array([-1.0])
-    )
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_infeasible_yields_farkas_certificate():
-    lp = StandardLP(
-        c=np.zeros(2),
-        A=np.array([[1.0, 1.0], [1.0, 1.0]]),
-        b=np.array([1.0, 2.0]),
-    )
-    sol = solve_lp(lp)
-    assert sol.status == "infeasible"
-    y = np.asarray(sol.certificate, dtype=float)
-    assert y @ lp.b > 1e-10
-    assert (lp.A.T @ y <= 1e-8).all()
-
-
-def test_unbounded_yields_ray():
-    lp = StandardLP(
-        c=np.array([-1.0, 0.0]), A=np.array([[1.0, -1.0]]), b=np.array([0.0])
-    )
-    sol = solve_lp(lp)
-    assert sol.status == "unbounded"
-    ray = sol.certificate
-    x = np.zeros(2)
-    for j, v in ray.items():
-        x[j] = v
-    assert (x >= -1e-12).all()
-    assert np.allclose(lp.A @ x, 0.0, atol=1e-9)
-    assert float(lp.c @ x) < 0
-
-
-def test_matches_tableau_oracle_on_random_instances():
-    rng = np.random.default_rng(101)
-    for trial in range(30):
-        k = int(rng.integers(2, 6))
-        ncols = int(rng.integers(k + 1, 14))
-        lp = _random_feasible_lp(rng, k, ncols)
-        sol = solve_lp(lp)
-        status, _, obj = tableau_simplex(lp.A, lp.b, lp.c)
-        assert sol.status == status == "optimal", f"trial {trial}"
-        assert sol.objective_value == pytest.approx(obj, abs=1e-8)
-        # reported primal is feasible and attains the objective
-        x = np.zeros(lp.c.size)
-        for j, v in sol.primal.items():
-            x[j] = v
-        assert np.allclose(lp.A @ x, lp.b, atol=1e-8)
-        assert float(lp.c @ x) == pytest.approx(sol.objective_value, abs=1e-9)
+def _pair_sum(recip: np.ndarray, t) -> float:
+    n = len(t)
+    return math.fsum(recip[t[i], t[j]] for i in range(n) for j in range(i + 1, n))
 
 
 def test_duals_are_complementary_on_random_instances():
+    # against the returned potential every multiset has a nonnegative
+    # reduced cost, and the plan's multisets a zero one
     rng = np.random.default_rng(55)
     for _ in range(10):
-        lp = _random_feasible_lp(rng, 4, 10)
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        red = lp.c - lp.A.T @ sol.dual
-        assert red.min() >= -1e-8
-        for j, v in sol.primal.items():
-            if v > 1e-9:
-                assert abs(red[j]) <= 1e-8
+        n, m = int(rng.integers(2, 4)), int(rng.integers(2, 7))
+        w = rng.uniform(0.2, 1.0, size=m)
+        w /= w.sum()
+        recip = rng.uniform(0.1, 2.0, size=(m, m))
+        recip = 0.5 * (recip + recip.T)
+        atoms, u_mat, _ = solve_transport(w, recip, n)
+        red = {
+            t: _pair_sum(recip, t) - math.fsum(u_mat[0, list(t)])
+            for t in itertools.combinations_with_replacement(range(m), n)
+        }
+        assert min(red.values()) >= -1e-8
+        for t, x in atoms.items():
+            if x > 1e-9:
+                assert abs(red[tuple(sorted(t))]) <= 1e-8
 
 
 def test_solve_transport_two_point_pair_matrix():
@@ -415,24 +348,28 @@ def test_multiset_add_pools_each_new_class_once():
         assert cost == min(pairs) == recip[i, j]
 
 
-def test_dense_scans_skip_excluded_ids():
+def test_multiset_full_scan_skips_excluded_ids_in_order():
     rng = np.random.default_rng(9)
-    A = rng.normal(size=(4, 40))
-    c = rng.uniform(0.0, 1.0, size=40)
-    prov = lp._DenseColumns(A, c)
-    y = rng.normal(size=4)
+    m = 12
+    recip = rng.uniform(0.0, 1.0, size=(m, m))
+    recip = 0.5 * (recip + recip.T)
+    sym = Symmetry(np.arange(m)[None, :])
+    prov = lp._MultisetColumns(recip, 2, sym.classes(2, False), sym)
+    y = rng.normal(scale=0.5, size=m)
     prov.begin_iteration(y)
-    red = c - y @ A
+    red = prov.costs - y[prov.classes].sum(axis=1)
     hits = np.flatnonzero(red < -1e-9)
     assert hits.size > 3
     exclude = np.array([hits[0], hits[2]])
     rest = np.setdiff1d(hits, exclude)
     assert prov.entering_bland(2, 1e-9, exclude) == rest[0]
     assert prov.entering_bland(2, 1e-9, hits) is None
-    scan = prov.full_scan(2, 1e-9, 40, exclude)
+    scan = prov.full_scan(2, 1e-9, prov.costs.size, exclude)
     assert sorted(scan.tolist()) == rest.tolist()
     assert np.all(np.diff(red[scan]) >= 0.0)
-    assert prov.full_scan(2, 1e-9, 40, hits).size == 0
+    assert prov.full_scan(2, 1e-9, prov.costs.size, hits).size == 0
+    # the topk most negative, most negative first
+    assert scan[:3].tolist() == prov.full_scan(2, 1e-9, 3, exclude).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -662,4 +599,90 @@ def test_column_generation_past_the_pool_cap_certifies_1d_ball():
     report = verify_duality(plan, pots, coulomb(n))
     assert report.relative_gap <= 1e-8
     assert report.max_dual_violation <= DUAL_FEAS_TOL
+    assert report.primal_value == value
+
+
+# ---------------------------------------------------------------------------
+# the minimum-norm potential
+
+
+def test_complete_pool_refines_without_an_ordered_rescan(monkeypatch):
+    # with every class pooled the refined potential is checked against
+    # the pool; past the cap, by one exhaustive ordered rescan
+    rescan = lp.max_dual_excess
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return rescan(*args)
+
+    monkeypatch.setattr(lp, "max_dual_excess", counted)
+    mu = discretize(UniformBall(center=(0.0, 0.0), radius=1.0), GridSpec(2, 1.0, 2))
+    m = len(mu.atoms)
+    solve_mmot(mu, coulomb(3))
+    assert calls == []
+    solve_mmot(mu, coulomb(3), pool_cap=0)
+    assert calls == [(3, m)]
+
+
+def test_solve_mmot_reports_the_potential_of_solve_transport():
+    mu = discretize(UniformBall(center=(0.0, 0.0), radius=1.0), GridSpec(2, 1.0, 2))
+    support = mu.support()
+    w = np.array([mu.atoms[c] for c in support])
+    recip = _support_recip(coulomb(3), mu.grid, support, "cell", None)
+    group = symmetry_group(np.array(support), mu.grid, w, recip)
+    _, u_mat, _ = solve_transport(w, recip, 3, group=group)
+    _, pots, _ = solve_mmot(mu, coulomb(3))
+    assert [[slot[c] for c in support] for slot in pots.values] == u_mat.tolist()
+    # the minimum-norm potential is orbit-constant, unlike most vertex duals
+    assert (u_mat[0][group] == u_mat[0]).all()
+
+
+@st.composite
+def _atom_measures(draw):
+    """Atoms at random points of distinct cells of a level-2 grid in d = 1
+    or 2, with weights at most 1/N, for pointwise solves."""
+    d, n = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    level, per_axis = 2, 8
+    k = draw(st.integers(n + 1, n + 4))
+    flats = draw(st.lists(st.integers(0, per_axis**d - 1), min_size=k, max_size=k, unique=True))
+    counts = draw(st.lists(st.integers(1, 10), min_size=k, max_size=k))
+    assume(n * max(counts) <= sum(counts))
+    offsets = iter(draw(st.lists(st.floats(0.05, 0.95), min_size=k * d, max_size=k * d)))
+    points = []
+    for flat in flats:
+        point = []
+        for _ in range(d):
+            flat, a = divmod(flat, per_axis)
+            point.append((a - 2**level + next(offsets)) * 0.5**level)
+        points.append(tuple(point))
+    weights = tuple(c / sum(counts) for c in counts)
+    return discretize(FiniteAtomic(tuple(points), weights), GridSpec(level, 1.0, d)), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_invariant_pair_instances(), st.booleans())
+def test_returned_potential_is_feasible_and_tight(instance, capped):
+    w, recip, n, perms = instance
+    injective = bool(np.isinf(np.diag(recip)).all())
+    assume(not (capped and injective))  # pointwise pools are never generated
+    atoms, u_mat, _ = solve_transport(
+        w, recip, n, group=perms, pool_cap=0 if capped else lp._POOL_CAP
+    )
+    tol = lp._FEAS_TOL * lp._cost_scale(recip, n)
+    assert max_dual_excess(u_mat, recip) <= tol
+    for t, x in atoms.items():
+        assert abs(_pair_sum(recip, t) - math.fsum(u_mat[i, t[i]] for i in range(n))) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(_atom_measures())
+def test_pointwise_potential_is_feasible_and_tight(case):
+    mu, n = case
+    plan, pots, value = solve_mmot(mu, coulomb(n), cost_mode="pointwise")
+    recip = _support_recip(coulomb(n), mu.grid, mu.support(), "pointwise", mu.positions)
+    tol = lp._FEAS_TOL * lp._cost_scale(recip, n)
+    report = verify_duality(plan, pots, coulomb(n), cost_mode="pointwise", positions=mu.positions)
+    assert report.max_dual_violation <= tol
+    assert report.max_slackness_violation <= tol
     assert report.primal_value == value

@@ -189,8 +189,9 @@ def test_refined_potential_is_the_cell_level_min_norm():
     perms = np.array([[0, 1, 2], [0, 2, 1]])
     recip = np.full((3, 3), 10.0)
     recip[0, 1:] = recip[1:, 0] = 1.0
-    atoms = {(0, 1): 0.25, (1, 0): 0.25, (0, 2): 0.25, (2, 0): 0.25}
-    refined = lp._refine_dual(atoms, np.zeros((2, 3)), recip, 1e-9, perms)
+    atoms, refined, value = solve_transport(np.array([0.5, 0.25, 0.25]), recip, 2, group=perms)
+    assert atoms == {(0, 1): 0.25, (1, 0): 0.25, (0, 2): 0.25, (2, 0): 0.25}
+    assert value == 1.0
     A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     want, *_ = np.linalg.lstsq(A, np.ones(2), rcond=None)
     assert np.abs(want - [2 / 3, 1 / 3, 1 / 3]).max() <= 1e-12
@@ -224,13 +225,17 @@ def test_plan_lift_matches_the_per_orbit_loop(d, n):
     picks = rng.choice(pool.shape[0], size=min(40, pool.shape[0]), replace=False)
     primal = {int(j): float(x) for j, x in zip(picks, rng.uniform(0.01, 1.0, size=picks.size))}
     want: dict[tuple[int, ...], float] = {}
+    lowest = []
     for j, x in primal.items():
         images = sorted(set(map(tuple, np.sort(perms[:, pool[j]], axis=1).tolist())))
+        lowest.append(images[0])
         share = x / len(images)
         for t in images:
             for s in range(n):
                 shift = t[s:] + t[:s]
                 want[shift] = want.get(shift, 0.0) + share / n
-    idx, x = lp._lift_plan(primal, pool, perms, (perms.shape[1],) * n)
+    idx, x, codes = lp._lift_plan(primal, pool, perms, (perms.shape[1],) * n)
     assert [tuple(t) for t in idx.tolist()] == sorted(want)
     assert x.tolist() == [want[t] for t in sorted(want)]
+    m = perms.shape[1]
+    assert codes.tolist() == [int(np.ravel_multi_index(t, (m,) * n)) for t in lowest]

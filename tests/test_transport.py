@@ -1,10 +1,13 @@
 """Plans, potentials, duality audits, bounds, and the swap rearrangement."""
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmot.cost import (
     cell_cost_lower,
@@ -165,6 +168,31 @@ def test_verify_duality_on_a_solved_instance():
     assert set(d) >= {"primal_value", "dual_value", "relative_gap"}
     assert "primal_value=" in rep.to_kv_block()
     assert '"relative_gap"' in rep.to_json()
+
+
+@functools.cache
+def _solved_ball():
+    """The certified plan and potentials of the d = 2, level 2, N = 3
+    ball."""
+    mu = discretize(UniformBall(center=(0.0, 0.0), radius=1.0), GridSpec(2, 1.0, 2))
+    plan, pots, _ = solve_mmot(mu, coulomb(3))
+    return plan, pots
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.floats(1e-6, 1e-2))
+def test_verify_duality_flags_a_potential_raised_at_one_cell(pick, delta):
+    # every support cell lies in a tight atom of the plan, which the raised
+    # potential overprices by at least delta
+    plan, pots = _solved_ball()
+    support = sorted(pots.values[0])
+    cell = support[pick % len(support)]
+    raised = PotentialVector(
+        pots.grid, tuple({**slot, cell: slot[cell] + delta} for slot in pots.values)
+    )
+    assert verify_duality(plan, pots, coulomb(3)).max_dual_violation <= 1e-9
+    report = verify_duality(plan, raised, coulomb(3))
+    assert report.max_dual_violation >= delta - 1e-12
 
 
 def test_verify_duality_shape_checks():
