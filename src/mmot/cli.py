@@ -4,8 +4,9 @@ Machine-readable output (JSON summaries, CSV tables, key=value reports)
 goes to stdout or the --out path; progress notes go to stderr, so the two
 streams never interleave.  Exit codes: 0 success, 2 malformed input or
 options, 3 solver failure (insufficient support, size limit, numerical
-breakdown), 4 verification failure (duality gap or dual feasibility out
-of tolerance).
+breakdown), 4 verification failure (duality gap, slackness or dual
+feasibility out of tolerance in verify or any converge level, or converge
+values out of order).
 
 Densities are inline strings or files:
   atoms:a=0,0,0:w=0.5;b=2,0,0:w=0.5
@@ -51,7 +52,10 @@ from .measure import (
     discretize,
     load_measure,
 )
+from .tolerances import FEAS_TOL, GAP_TOL, WINDOW_SLACK
 from .transport import (
+    _json_clean,
+    certificate_failures,
     load_plan,
     load_potentials,
     plan_cost,
@@ -96,12 +100,6 @@ def _note_bound(command: str, report) -> None:
             f"{command}: potential bound is nan: no plan atom in the window keeps "
             f"all slots strictly apart, so the a priori bound does not apply"
         )
-
-
-def _json_clean(v):
-    if isinstance(v, float) and not math.isfinite(v):
-        return repr(v)
-    return v
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -275,7 +273,7 @@ def _measure_for_solve(cfg: RunConfig) -> tuple[DiscreteMeasure, GridSpec]:
             raise ParseError(
                 f"--level {level} disagrees with the stored measure's level {g.level}"
             )
-        if R is not None and abs(R - g.window_halfwidth) > 1e-12:
+        if R is not None and abs(R - g.window_halfwidth) > WINDOW_SLACK:
             raise ParseError(
                 f"--R {R!r} disagrees with the stored measure's halfwidth "
                 f"{g.window_halfwidth!r}"
@@ -297,20 +295,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     n = cfg.get("N", 2, int)
     model = _cost_model(cfg, n)
     mode = _cost_mode(cfg, "pointwise" if measure.positions is not None else "cell")
-    gap_tol = cfg.get("gap-tol", 1e-8, float)
-    feas_tol = cfg.get("feas-tol", 1e-9, float)
+    gap_tol = cfg.get("gap-tol", GAP_TOL, float)
+    feas_tol = cfg.get("feas-tol", FEAS_TOL, float)
     m_fraction = cfg.get("m-fraction", 0.1, float)
     plan, potentials, value = solve_mmot(
         measure, model, cost_mode=mode, feas_tol=feas_tol, gap_tol=gap_tol
     )
     report = verify_duality(
-        plan,
-        potentials,
-        model,
-        cost_mode=mode,
-        positions=measure.positions,
-        m_fraction=m_fraction,
-        feas_tol=feas_tol,
+        plan, potentials, model, cost_mode=mode, positions=measure.positions, m_fraction=m_fraction
     )
     _note_bound("solve", report)
     plan_path = cfg.get("out", None, str)
@@ -360,6 +352,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     R = cfg.get("R", None, float)
     if R is None:
         raise ParseError("--R is required")
+    gap_tol = cfg.get("gap-tol", GAP_TOL, float)
+    feas_tol = cfg.get("feas-tol", FEAS_TOL, float)
     table = converge(
         density,
         model,
@@ -367,8 +361,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         R,
         dim,
         m_fraction=cfg.get("m-fraction", 0.1, float),
-        gap_tol=cfg.get("gap-tol", 1e-8, float),
-        feas_tol=cfg.get("feas-tol", 1e-9, float),
+        gap_tol=gap_tol,
+        feas_tol=feas_tol,
         cost_mode=mode,
     )
     _emit(table.to_csv(), cfg.get("out", None, str))
@@ -380,7 +374,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     if any(row.error is not None for row in table.rows):
         _fail("converge: some levels failed to solve")
         return 3
-    violations = table.check(cfg.get("gap-tol", 1e-8, float))
+    violations = table.check(gap_tol, feas_tol)
     if violations:
         for v in violations:
             _fail(f"converge: {v}")
@@ -423,30 +417,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     model = _cost_model(cfg, plan.n_marginals)
     positions = _positions_for_verify(cfg, plan.grid)
     mode = _cost_mode(cfg, "pointwise" if positions is not None else "cell")
-    gap_tol = cfg.get("gap-tol", 1e-8, float)
-    feas_tol = cfg.get("feas-tol", 1e-9, float)
+    gap_tol = cfg.get("gap-tol", GAP_TOL, float)
+    feas_tol = cfg.get("feas-tol", FEAS_TOL, float)
     report = verify_duality(
-        plan,
-        potentials,
-        model,
-        cost_mode=mode,
-        positions=positions,
+        plan, potentials, model, cost_mode=mode, positions=positions,
         m_fraction=cfg.get("m-fraction", 0.1, float),
-        feas_tol=feas_tol,
     )
     if cfg.get("json", False, _bool):
         sys.stdout.write(report.to_json() + "\n")
     else:
         sys.stdout.write(report.to_kv_block())
     _note_bound("verify", report)
-    scale = feas_tol * (1.0 + abs(report.primal_value))
-    reasons = []
-    if report.relative_gap > gap_tol:
-        reasons.append(f"duality gap {report.relative_gap!r} above {gap_tol!r}")
-    if report.max_slackness_violation > scale:
-        reasons.append(f"complementary slackness off by {report.max_slackness_violation!r}")
-    if report.max_dual_violation > scale:
-        reasons.append(f"dual constraint violated by {report.max_dual_violation!r}")
+    reasons = certificate_failures(
+        report.primal_value, report.relative_gap, report.max_slackness_violation,
+        report.max_dual_violation, gap_tol, feas_tol,
+    )
     if reasons:
         for r in reasons:
             _fail(f"verify: {r}")
@@ -492,8 +477,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="file of key = value defaults; flags win")
     p.add_argument("--seed", help="random seed (accepted for compatibility)")
     p.add_argument("--threads", help="thread count (accepted; solver is single-threaded)")
-    p.add_argument("--gap-tol", help="relative duality-gap tolerance (default 1e-8)")
-    p.add_argument("--feas-tol", help="dual feasibility tolerance (default 1e-9)")
+    p.add_argument("--gap-tol", help=f"relative duality-gap tolerance (default {_short(GAP_TOL)})")
+    p.add_argument("--feas-tol", help=f"dual feasibility tolerance (default {_short(FEAS_TOL)})")
+
+
+def _short(x: float) -> str:
+    """x in the shortest exponent form: 1e-8, not repr's 1e-08."""
+    return f"{x:g}".replace("e-0", "e-")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,7 @@ from itertools import product
 import numpy as np
 
 from .errors import PointOutsideWindow
+from .tolerances import GRID_INTEGRAL
 
 Cell = tuple[int, ...]
 
@@ -44,7 +45,7 @@ class GridSpec:
         if not self.window_halfwidth > 0:
             raise ValueError("window_halfwidth must be positive")
         half = self.window_halfwidth * 2**self.level
-        if abs(half - round(half)) > 1e-9 or round(half) < 1:
+        if abs(half - round(half)) > GRID_INTEGRAL or round(half) < 1:
             raise ValueError(
                 "window_halfwidth * 2**level must be a positive integer "
                 f"(got {half!r})"

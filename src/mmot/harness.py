@@ -28,14 +28,18 @@ from .errors import (
 from .grid import GridSpec, inf_dist
 from .lp import solve_mmot
 from .measure import Density, DiscreteMeasure, FiniteAtomic, discretize
-from .transport import TransportPlan, plan_cost, product_plan_cost, verify_duality
+from .tolerances import FEAS_TOL, GAP_TOL, IMPROVE_SLACK, MONO_SLACK, REFERENCE_SLACK
+from .transport import (
+    TransportPlan, certificate_failures, plan_cost, product_plan_cost, verify_duality,
+)
 
 _CSV_HEADER = "level,primal,dual,gap,alpha,pot_sup,bound,ms"
 
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One refinement level's results; error is None on success."""
+    """One refinement level's results; error is None on success.
+    slackness and dual_violation are the audit's, not CSV columns."""
 
     level: int
     primal: float = math.nan
@@ -47,6 +51,8 @@ class ConvergenceRow:
     ms: float = math.nan
     bound_radius: float = math.nan
     bound_constant: float = math.nan
+    slackness: float = math.nan
+    dual_violation: float = math.nan
     error: str | None = None
 
 
@@ -61,41 +67,36 @@ class ConvergenceTable:
     def to_csv(self) -> str:
         lines = [_CSV_HEADER]
         for r in self.rows:
-            lines.append(
-                ",".join(
-                    [str(r.level)]
-                    + [
-                        repr(v)
-                        for v in (r.primal, r.dual, r.gap, r.alpha, r.pot_sup, r.bound, r.ms)
-                    ]
-                )
-            )
+            values = (r.primal, r.dual, r.gap, r.alpha, r.pot_sup, r.bound, r.ms)
+            lines.append(",".join([str(r.level)] + [repr(v) for v in values]))
         return "\n".join(lines) + "\n"
 
-    def check(self, gap_tol: float = 1e-8, mono_slack: float = 1e-12) -> list[str]:
-        """Violation messages; an empty list means the table is coherent."""
+    def check(self, gap_tol: float = GAP_TOL, feas_tol: float = FEAS_TOL) -> list[str]:
+        """Violation messages; an empty list means the table is coherent.
+        A level fails its certificate as `mmot verify` would
+        (certificate_failures)."""
         out = []
         prev = None
         for r in self.rows:
             if r.error is not None:
                 out.append(f"level {r.level}: {r.error}")
                 continue
-            if r.gap > gap_tol:
-                out.append(f"level {r.level}: duality gap {r.gap!r} above {gap_tol!r}")
-            if prev is not None and r.primal < prev - mono_slack * (1.0 + abs(prev)):
+            failures = certificate_failures(
+                r.primal, r.gap, r.slackness, r.dual_violation, gap_tol, feas_tol
+            )
+            out += [f"level {r.level}: {f}" for f in failures]
+            if prev is not None and r.primal < prev - MONO_SLACK * (1.0 + abs(prev)):
                 out.append(
                     f"level {r.level}: value {r.primal!r} dropped below the "
                     f"coarser level's {prev!r}"
                 )
-            if math.isfinite(self.reference_upper) and r.primal > self.reference_upper + 1e-9 * (
-                1.0 + abs(self.reference_upper)
-            ):
+            upper = self.reference_upper
+            if math.isfinite(upper) and r.primal > upper + REFERENCE_SLACK * (1.0 + abs(upper)):
                 out.append(
                     f"level {r.level}: value {r.primal!r} above the product "
                     f"coupling reference {self.reference_upper!r}"
                 )
-            if r.error is None:
-                prev = r.primal
+            prev = r.primal
         return out
 
 
@@ -108,8 +109,8 @@ def converge(
     *,
     samples_base: int = 2,
     m_fraction: float = 0.1,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-9,
+    gap_tol: float = GAP_TOL,
+    feas_tol: float = FEAS_TOL,
     cost_mode: str = "cell",
 ) -> ConvergenceTable:
     """Discretize, solve, and audit the same density at several levels.
@@ -138,20 +139,11 @@ def converge(
             spa = min(samples_base * 2 ** (finest - n), 128)
             measure = discretize(density, grid, samples_per_axis=spa)
             plan, potentials, value = solve_mmot(
-                measure,
-                model,
-                cost_mode=cost_mode,
-                feas_tol=feas_tol,
-                gap_tol=gap_tol,
+                measure, model, cost_mode=cost_mode, feas_tol=feas_tol, gap_tol=gap_tol
             )
             report = verify_duality(
-                plan,
-                potentials,
-                model,
-                cost_mode=cost_mode,
-                positions=measure.positions,
+                plan, potentials, model, cost_mode=cost_mode, positions=measure.positions,
                 m_fraction=m_fraction,
-                feas_tol=feas_tol,
             )
             ms = (time.perf_counter() - t0) * 1000.0
             rows.append(
@@ -166,6 +158,8 @@ def converge(
                     ms=ms,
                     bound_radius=report.bound_radius,
                     bound_constant=report.bound_level_constant,
+                    slackness=report.max_slackness_violation,
+                    dual_violation=report.max_dual_violation,
                 )
             )
             finest_measure = measure
@@ -262,7 +256,7 @@ def swap_search(
             except (OverlappingNeighborhoods, EmptyRestriction):
                 r *= 2.0 ** -0.25
                 continue
-            if cand_cost < cost - 1e-12 * (1.0 + abs(cost)):
+            if cand_cost < cost - IMPROVE_SLACK * (1.0 + abs(cost)):
                 log.append(
                     f"round {rnd}: radius {r!r} lowered cost {cost!r} -> {cand_cost!r}"
                 )

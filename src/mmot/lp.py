@@ -57,7 +57,7 @@ dependency, in the direction that does not raise the cost (mass on
 artificials counting first), until a column empties.  Rows left free
 keep zero-level artificials, so phase 1 runs only when an artificial
 carries mass, which happens only when a pointwise piece falls in a class
-with no distinct cells (a weight inside the 1e-12 guard above 1/N).
+with no distinct cells (a weight inside the INJECTIVE_SLACK guard above 1/N).
 Artificial columns carry stable negative ids so the column pool can grow
 between re-optimizations without renumbering; a zero-level artificial
 that no column can replace (a redundant row) pins that row's dual to
@@ -94,20 +94,22 @@ from .cost import CostModel
 from .errors import InsufficientSupport, NumericalBreakdown, ProblemTooLarge
 from .measure import DiscreteMeasure
 from .symmetry import Symmetry, symmetry_group
+from .tolerances import (
+    DROP_WEIGHT, FEAS_TOL, GAP_TOL, INJECTIVE_SLACK, LOST_FEASIBILITY, MARGINAL_DRIFT,
+    NEGATIVE_WEIGHT, PIVOT_TOL, RATIO_TIE_ABS, RATIO_TIE_REL, REFINE_RESIDUAL, SLIVER,
+    SMALL_PIVOT, STALL_DROP, STRONG_PIVOT, WEIGHT_SUM, ZERO_LEVEL,
+)
 from .transport import (
     PotentialVector,
     TransportPlan,
+    _check_cost_mode,
     _support_recip,
     dual_excess_slabs,
     max_dual_excess,
     plan_cost,
 )
 
-_PIVOT_TOL = 1e-10
-_FEAS_TOL = 1e-9
-_ZERO_TOL = 1e-11
 _REFACTOR_EVERY = 100
-_SMALL_PIVOT = 1e-6
 _STALL_LIMIT = 256
 _MAX_ITERS = 500_000
 _CANDIDATES = 1024
@@ -116,9 +118,6 @@ _SCAN_CHUNK = 32_768
 # pools of more multiset orbits than this start from the orbits of the
 # quantile-shift pieces instead of every orbit of the support
 _POOL_CAP = 1_100_000
-# quantile-shift breakpoints closer than this merge: round-off in the
-# cumulative weights leaves no sliver piece that repeats a cell
-_SLIVER = 1e-13
 _PRICE_BATCH = 50
 # the minimum-norm refinement solves a dense (classes, orbits) system, so
 # instances with more cell orbits than this keep the vertex potential
@@ -226,16 +225,13 @@ class _MultisetColumns:
     def begin_iteration(self, y: np.ndarray) -> None:
         self._y = y
 
-    def _reduced_slice(self, phase: int, lo: int, hi: int) -> np.ndarray:
-        used = self._used(self._y, self.classes[lo:hi])
-        return self.costs[lo:hi] - used if phase == 2 else -used
-
-    def reduced_for(self, phase: int, ids: np.ndarray) -> np.ndarray:
+    def reduced_for(self, phase: int, ids) -> np.ndarray:
+        """Reduced costs of the pooled classes ids, an id array or a slice."""
         used = self._used(self._y, self.classes[ids])
         return self.costs[ids] - used if phase == 2 else -used
 
     def full_scan(self, phase, tol, topk, exclude) -> np.ndarray:
-        red = self._reduced_slice(phase, 0, self.classes.shape[0])
+        red = self.reduced_for(phase, slice(None))
         red[exclude] = 0.0
         return _top_violators(red, tol, topk)
 
@@ -245,7 +241,7 @@ class _MultisetColumns:
         P = self.classes.shape[0]
         for lo in range(0, P, _SCAN_CHUNK):
             hi = min(lo + _SCAN_CHUNK, P)
-            hits = lo + np.flatnonzero(self._reduced_slice(phase, lo, hi) < -tol)
+            hits = lo + np.flatnonzero(self.reduced_for(phase, slice(lo, hi)) < -tol)
             j = _first_outside(hits, exclude)
             if j is not None:
                 return j
@@ -271,7 +267,6 @@ def price_columns(
     *,
     tol: float,
     skip: np.ndarray,
-    batch: int = _PRICE_BATCH,
     orbits: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exhaustively scan all m^N ordered tuples for dual violations.
@@ -281,7 +276,7 @@ def price_columns(
     tuple of its cells' orbits under the cell-orbit map orbits (u
     constant on each orbit; None means every cell is its own orbit).
     Returns the classes of the first violating tuples in enumeration
-    (lexicographic) order, at most batch of them, each once, leaving out
+    (lexicographic) order, at most _PRICE_BATCH of them, each once, leaving out
     those whose code over (R,) * N is in the sorted array skip.  The
     cheapest multiset of a class costs no more than the tuple, so the
     class violates too.  An empty return certifies dual feasibility over
@@ -303,7 +298,7 @@ def price_columns(
             fresh = ~_pooled(skip, codes)
             for code, key in zip(codes[fresh].tolist(), keys[fresh]):
                 found.setdefault(code, key)
-                if len(found) >= batch:
+                if len(found) >= _PRICE_BATCH:
                     return np.array(list(found.values()))
     return np.array(list(found.values()), dtype=np.int64).reshape(-1, n)
 
@@ -347,14 +342,7 @@ class _SimplexEngine:
     crash basis of the quantile-shift coupling (_crash_basis).
     """
 
-    def __init__(
-        self,
-        provider,
-        b: np.ndarray,
-        initial_basis,
-        *,
-        feas_tol: float = _FEAS_TOL,
-    ):
+    def __init__(self, provider, b: np.ndarray, initial_basis, feas_tol: float):
         self.prov = provider
         self.b = np.asarray(b, dtype=float)
         self.k = self.b.size
@@ -406,7 +394,7 @@ class _SimplexEngine:
             raise NumericalBreakdown("basis matrix became singular") from exc
         self.row_updates = np.zeros(self.k, dtype=np.int64)
         self.xB = self.Binv @ self.b
-        if self.xB.min(initial=0.0) < -1e-7 * self.scale:
+        if self.xB.min(initial=0.0) < -LOST_FEASIBILITY * self.scale:
             raise _LostFeasibility(float(self.xB.min()))
         np.clip(self.xB, 0.0, None, out=self.xB)
         self._set_phase(self.phase)
@@ -425,23 +413,23 @@ class _SimplexEngine:
         id keeps the anti-cycling argument intact."""
         art_kick = (
             (self.basis < 0)
-            & (np.abs(d) > _PIVOT_TOL)
-            & (self.xB <= _ZERO_TOL)
+            & (np.abs(d) > PIVOT_TOL)
+            & (self.xB <= ZERO_LEVEL)
         )
-        pos = d > _PIVOT_TOL
+        pos = d > PIVOT_TOL
         ratios = np.full(self.k, math.inf)
         ratios[pos] = np.maximum(self.xB[pos], 0.0) / d[pos]
         ratios[art_kick] = 0.0
         best = ratios.min(initial=math.inf)
         if not math.isfinite(best):
             return None, math.inf
-        cand = np.flatnonzero(ratios <= best * (1.0 + 1e-9) + 1e-15)
+        cand = np.flatnonzero(ratios <= best * (1.0 + RATIO_TIE_REL) + RATIO_TIE_ABS)
         if bland:
             leave = int(cand[np.argmin(self.basis[cand])])
         else:
             mags = np.abs(d[cand])
             peak = mags.max()
-            strong = cand[mags >= 0.9 * peak]
+            strong = cand[mags >= STRONG_PIVOT * peak]
             leave = int(strong[np.argmin(self.basis[strong])])
         return leave, float(ratios[leave])
 
@@ -457,7 +445,7 @@ class _SimplexEngine:
         # A tiny pivot element leaves an ill-conditioned update behind;
         # rebuilding the inverse from the exact columns right away keeps
         # the damage from compounding.
-        if abs(piv) < _SMALL_PIVOT or self.row_updates[touched].max() >= self.refactor_every:
+        if abs(piv) < SMALL_PIVOT or self.row_updates[touched].max() >= self.refactor_every:
             self._refactor()
 
     def _optimize_phase(self, phase: int) -> None:
@@ -502,7 +490,7 @@ class _SimplexEngine:
                 )
             self._pivot(j, leave, d, theta)
             obj = self._objective()
-            if obj < last_obj - 1e-12 * (1.0 + abs(last_obj)):
+            if obj < last_obj - STALL_DROP * (1.0 + abs(last_obj)):
                 stall = 0
                 bland = False
             else:
@@ -516,13 +504,13 @@ class _SimplexEngine:
 
     def _drive_out_artificials(self) -> None:
         for r in range(self.k):
-            if self.basis[r] >= 0 or self.xB[r] > _ZERO_TOL:
+            if self.basis[r] >= 0 or self.xB[r] > ZERO_LEVEL:
                 continue
-            j = self.prov.first_nonzero(self.Binv[r], _PIVOT_TOL, self._basic())
+            j = self.prov.first_nonzero(self.Binv[r], PIVOT_TOL, self._basic())
             if j is None:
                 continue
             d = self._direction(j)
-            if abs(d[r]) > _PIVOT_TOL:
+            if abs(d[r]) > PIVOT_TOL:
                 self._pivot(j, r, d, 0.0)
 
     def optimize(self) -> tuple[dict[int, float], np.ndarray, float]:
@@ -576,7 +564,7 @@ def _quantile_pieces(w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     is constant on the pieces between the breakpoints G mod 1.  Returns
     the pieces' tuples as an int64 (P, N) array and their lengths, which
     are their masses: they sum to 1 and give cell j N w_j / sum(w) in
-    total count.  Breakpoints closer than _SLIVER merge, and those within
+    total count.  Breakpoints closer than SLIVER merge, and those within
     it of 1 join the next period's start, so that a cell of weight at
     most 1/N repeats in no piece.
     """
@@ -585,13 +573,13 @@ def _quantile_pieces(w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     slot = np.minimum(np.floor(inner), n - 1)
     t = inner - slot
     # slot i starts past every boundary below i; a boundary at (or within
-    # _SLIVER above) t = 0 moves it in the first piece
+    # SLIVER above) t = 0 moves it in the first piece
     first = np.searchsorted(inner, np.arange(n), side="left")
     order = np.argsort(t, kind="stable")
     t, slot = t[order], slot[order].astype(np.int64)
-    keep = t < 1.0 - _SLIVER
+    keep = t < 1.0 - SLIVER
     t, slot = t[keep], slot[keep]
-    opens = np.diff(t, prepend=0.0) > _SLIVER
+    opens = np.diff(t, prepend=0.0) > SLIVER
     starts = np.concatenate([[0.0], t[opens]])
     moves = np.zeros((starts.size, n), dtype=np.int64)
     np.add.at(moves, (np.cumsum(opens), slot), 1)
@@ -635,14 +623,14 @@ def _crash_basis(
         free = np.abs(d)
         free[placed] = 0.0
         leave = int(free.argmax())
-        if free[leave] <= _PIVOT_TOL:
+        if free[leave] <= PIVOT_TOL:
             # column j is the combination d of the placed columns, so s
             # more mass on j means s d less on them: s sum(d) less on the
             # placed artificials, which decides the direction when nonzero,
             # and a cost change of s (c - cost @ d)
             d[~placed] = 0.0
             relief = d[basis < 0].sum()
-            if abs(relief) > _PIVOT_TOL:
+            if abs(relief) > PIVOT_TOL:
                 sign = math.copysign(1.0, relief)
             else:
                 sign = 1.0 if c <= cost @ d else -1.0
@@ -663,29 +651,29 @@ def _crash_basis(
 
 
 def _min_ratio(level: np.ndarray, d: np.ndarray) -> tuple[int, float]:
-    """Ratio test: the row r with d[r] > _PIVOT_TOL that minimizes
+    """Ratio test: the row r with d[r] > PIVOT_TOL that minimizes
     level[r] / d[r], the largest d[r] among ties, and that ratio (inf
     when no row qualifies)."""
-    ratios = np.divide(level, d, out=np.full(d.size, math.inf), where=d > _PIVOT_TOL)
+    ratios = np.divide(level, d, out=np.full(d.size, math.inf), where=d > PIVOT_TOL)
     tied = np.flatnonzero(ratios == ratios.min())
     leave = int(tied[np.argmax(d[tied])])
     return leave, float(ratios[leave])
 
 
 def _initial_pool(
-    sym: Symmetry, n: int, injective: bool, cap: int, start: np.ndarray
+    sym: Symmetry, n: int, injective: bool, start: np.ndarray
 ) -> tuple[np.ndarray, bool]:
     """The classes to pool first, and whether they are all of them: every
     class of the support (those holding distinct cells when injective),
-    or past the cap the classes with the ascending codes start, from
+    or past _POOL_CAP the classes with the ascending codes start, from
     which column generation goes on."""
     count = sym.class_count(n, injective)
-    if count <= cap:
+    if count <= _POOL_CAP:
         return sym.classes(n, injective), True
     if injective:
         raise ProblemTooLarge(
             f"pointwise mode enumerates all {count} classes of support multisets of "
-            f"size {n}, which exceeds the cap {cap}; coarsen the grid or use cell mode"
+            f"size {n}, which exceeds the cap {_POOL_CAP}; coarsen the grid or use cell mode"
         )
     return np.stack(np.unravel_index(start, (sym.reps.size,) * n), axis=1), False
 
@@ -695,8 +683,7 @@ def solve_transport(
     cost: np.ndarray,
     n_marginals: int,
     *,
-    feas_tol: float = _FEAS_TOL,
-    pool_cap: int = _POOL_CAP,
+    feas_tol: float = FEAS_TOL,
     group: np.ndarray | None = None,
 ):
     """Solve the abstract equal-marginal coupling LP in its multiset form.
@@ -712,8 +699,8 @@ def solve_transport(
     as row 0, is a symmetry group of the instance: w and the pair matrix
     must be invariant under it, bitwise (only w is checked here).  The LP
     is then solved on cell orbits and classes of multisets; None means
-    the trivial group.  Classes of more multisets than pool_cap are
-    pooled by column generation.  Returns (atoms, u_mat, value): the
+    the trivial group.  Past _POOL_CAP classes, they are pooled by
+    column generation.  Returns (atoms, u_mat, value): the
     optimal ordered plan, which spreads each basic class's mass evenly
     over the distinct images of its cheapest multiset and each of those
     over its N cyclic shifts, the potential u repeated as the N rows of
@@ -726,7 +713,7 @@ def solve_transport(
         raise ValueError("weights must be a nonempty vector")
     if (w <= 0).any():
         raise ValueError("weights must be strictly positive")
-    if abs(math.fsum(w.tolist()) - 1.0) > 1e-8:
+    if abs(math.fsum(w.tolist()) - 1.0) > WEIGHT_SUM:
         raise ValueError("weights must sum to one")
     m = w.size
     n = int(n_marginals)
@@ -739,7 +726,7 @@ def solve_transport(
         raise ValueError("pair cost matrix must be symmetric")
     sym = Symmetry(_check_group(group, w))
     injective = bool(np.isinf(np.diag(recip)).all())
-    if injective and w.max() > 1.0 / n + 1e-12:
+    if injective and w.max() > 1.0 / n + INJECTIVE_SLACK:
         raise InsufficientSupport(
             f"largest weight {w.max()!r} exceeds 1/{n}; no off-diagonal "
             f"coupling can reproduce this marginal"
@@ -751,13 +738,13 @@ def solve_transport(
     keys = np.ravel_multi_index(np.sort(sym.cell_orbit[rows], axis=1).T, (sym.reps.size,) * n)
     codes, inv = np.unique(keys, return_inverse=True)
     mass = np.bincount(inv.ravel(), weights=mass)
-    classes, complete = _initial_pool(sym, n, injective, pool_cap, codes)
+    classes, complete = _initial_pool(sym, n, injective, codes)
     prov = _MultisetColumns(recip, n, classes, sym)
     if prov.classes.shape[0] == 0:
         raise InsufficientSupport("every candidate coupling tuple has infinite cost")
     b = n * np.bincount(sym.cell_orbit, weights=w)
     basis = _crash_basis(prov, b, codes, mass)
-    engine = _SimplexEngine(prov, b, basis, feas_tol=feas_tol)
+    engine = _SimplexEngine(prov, b, basis, feas_tol)
     price_tol = feas_tol * _cost_scale(recip, n)
     while True:
         primal, y, obj = engine.optimize()
@@ -813,7 +800,8 @@ def _min_norm_potential(
     sol = sol / root
     if not np.isfinite(sol).all():
         return y
-    if float(np.max(np.abs(A @ sol - costs))) > 1e-9 * (1.0 + float(np.max(np.abs(costs)))):
+    residual = float(np.max(np.abs(A @ sol - costs)))
+    if residual > REFINE_RESIDUAL * (1.0 + float(np.max(np.abs(costs)))):
         return y
     if complete:
         excess = prov.max_excess(sol)
@@ -878,9 +866,8 @@ def solve_mmot(
     model: CostModel,
     *,
     cost_mode: str = "cell",
-    feas_tol: float = _FEAS_TOL,
-    gap_tol: float = 1e-8,
-    pool_cap: int = _POOL_CAP,
+    feas_tol: float = FEAS_TOL,
+    gap_tol: float = GAP_TOL,
 ) -> tuple[TransportPlan, PotentialVector, float]:
     """Solve the discrete multimarginal problem for one measure.
 
@@ -891,47 +878,33 @@ def solve_mmot(
     priced by the finite pairwise-separable lower bound, so diagonal
     tuples are admissible; in pointwise mode coincident tuples cost
     infinity and are excluded, which requires every cell weight to stay
-    at or below 1/N.  The LP is solved on the orbits of the grid
+    at or below 1/N (InsufficientSupport otherwise; fewer than N cells
+    force a larger one).  The LP is solved on the orbits of the grid
     symmetries that fix the support, the weights and the pair matrix
-    bitwise (see the module docstring).  pool_cap bounds the classes
-    pooled up front; past it, columns are generated.
+    bitwise (see the module docstring).
     """
-    if cost_mode not in ("cell", "pointwise"):
-        raise ValueError(f"cost_mode must be 'cell' or 'pointwise', got {cost_mode!r}")
+    _check_cost_mode(cost_mode)
     n = model.n_marginals
     support = measure.support()
     m = len(support)
     if m == 0:
         raise InsufficientSupport("measure has empty support")
-    if cost_mode == "pointwise":
-        if m < n:
-            raise InsufficientSupport(
-                f"pointwise mode needs at least {n} distinct support cells, got {m}"
-            )
-        wmax = max(measure.atoms.values())
-        if wmax > 1.0 / n + 1e-12:
-            raise InsufficientSupport(
-                f"cell weight {wmax!r} exceeds 1/{n}; no plan avoiding "
-                f"coincident points can reproduce this marginal"
-            )
     recip = _support_recip(model, measure.grid, support, cost_mode, measure.positions)
     w = np.array([measure.atoms[c] for c in support])
     group = symmetry_group(np.array(support, dtype=np.int64), measure.grid, w, recip)
-    atoms_idx, u_mat, value = solve_transport(
-        w, recip, n, feas_tol=feas_tol, pool_cap=pool_cap, group=group
-    )
+    atoms_idx, u_mat, value = solve_transport(w, recip, n, feas_tol=feas_tol, group=group)
     idx = np.array(list(atoms_idx), dtype=np.int64).reshape(-1, n)
     x = np.fromiter(atoms_idx.values(), dtype=float, count=len(atoms_idx))
-    negative = np.flatnonzero(x < -1e-9)
+    negative = np.flatnonzero(x < -NEGATIVE_WEIGHT)
     if negative.size:
         raise NumericalBreakdown(f"negative plan weight {float(x[negative[0]])!r}")
-    keep = x > 1e-12
+    keep = x > DROP_WEIGHT
     cells = np.array(support, dtype=np.int64)[idx[keep]]
     plan = TransportPlan.from_arrays(measure.grid, n, cells, x[keep])
     plan.validate()
     marginal = np.bincount(idx[keep, 0], weights=x[keep], minlength=m)
     residual = float(np.max(np.abs(marginal - w)))
-    if residual > 1e-8:
+    if residual > MARGINAL_DRIFT:
         raise NumericalBreakdown(f"plan marginal drifts from the measure by {residual!r}")
     values = tuple(dict(zip(support, u_mat[i].tolist())) for i in range(n))
     potentials = PotentialVector(measure.grid, values)

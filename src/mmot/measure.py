@@ -30,12 +30,7 @@ from .errors import (
     ZeroMass,
 )
 from .grid import Cell, GridSpec, cell_of
-
-# Sums within this tolerance of one are accepted as normalized; dividing
-# again would only churn low bits, so renormalize() leaves them alone.
-_NORMALIZED_TOL = 1e-12
-# Files may be off by this much before renormalization refuses.
-_FILE_SUM_TOL = 1e-9
+from .tolerances import FILE_SUM, NORMALIZED, WINDOW_SLACK
 
 _HEADER_MEASURE = "mmot-measure v1"
 
@@ -109,8 +104,8 @@ class DiscreteMeasure:
             if not w > 0:
                 raise ValueError(f"weight for cell {cell!r} must be positive, got {w!r}")
         total = self.total_mass()
-        if abs(total - 1.0) > _NORMALIZED_TOL:
-            raise ValueError(f"weights sum to {total!r}, expected 1 within {_NORMALIZED_TOL}")
+        if abs(total - 1.0) > NORMALIZED:
+            raise ValueError(f"weights sum to {total!r}, expected 1 within {NORMALIZED}")
 
 
 def support_cardinality(measure: DiscreteMeasure) -> int:
@@ -121,7 +116,7 @@ def _normalized_atoms(raw: dict[Cell, float]) -> dict[Cell, float]:
     total = math.fsum(raw.values())
     if total <= 0:
         raise ZeroMass("density carries no mass on the window")
-    if abs(total - 1.0) <= _NORMALIZED_TOL:
+    if abs(total - 1.0) <= NORMALIZED:
         return {c: raw[c] for c in sorted(raw)}
     return {c: raw[c] / total for c in sorted(raw)}
 
@@ -257,7 +252,7 @@ def discretize(density: Density, grid: GridSpec, samples_per_axis: int = 4) -> D
             raise ValueError("ball center dimension does not match grid")
         R = grid.window_halfwidth
         for c in density.center:
-            if abs(c) + density.radius > R + 1e-12:
+            if abs(c) + density.radius > R + WINDOW_SLACK:
                 raise SupportOutsideWindow(
                     f"ball of radius {density.radius} at {density.center} leaves the window"
                 )
@@ -334,9 +329,9 @@ def load_measure(path) -> DiscreteMeasure:
     if not atoms:
         raise ParseError(f"{path}: no atoms")
     total = math.fsum(atoms.values())
-    if abs(total - 1.0) > _FILE_SUM_TOL:
+    if abs(total - 1.0) > FILE_SUM:
         raise NormalizationError(
-            f"{path}: weights sum to {total!r}, farther than {_FILE_SUM_TOL} from 1"
+            f"{path}: weights sum to {total!r}, farther than {FILE_SUM} from 1"
         )
     return DiscreteMeasure(grid, _normalized_atoms(atoms), None)
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import combinations
 from itertools import product as iter_product
 
@@ -59,14 +59,11 @@ from .errors import (
     ParseError,
 )
 from .grid import Cell, GridSpec
-from .measure import DiscreteMeasure, _normalized_atoms, _parse_header, _strip_comment
+from .measure import DiscreteMeasure, _parse_header, _strip_comment
+from .tolerances import BOUND_SLACK, FILE_SUM, PLAN_TOL, SWAP_DROP, WINDOW_SLACK
 
 _HEADER_PLAN = "mmot-plan v1"
 _HEADER_POTENTIALS = "mmot-potentials v1"
-
-# Plan-side tolerances: mass and marginal bookkeeping must hold to 1e-10.
-PLAN_TOL = 1e-10
-DUAL_FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -146,20 +143,23 @@ class TransportPlan:
         sums = np.bincount(ids, weights=self.arrays[1], minlength=uniq.shape[0])
         return dict(zip(map(tuple, uniq[held].tolist()), sums[held].tolist()))
 
-    def validate(self, tol: float = PLAN_TOL) -> None:
+    def validate(self) -> None:
+        """ValueError unless every atom lies on the grid with a positive
+        weight, the mass is one and the slot marginals agree, all to
+        PLAN_TOL."""
         cells, w = self.arrays
         _require_cells(self.grid, cells)
         nonpositive = np.flatnonzero(~(w > 0))
         if nonpositive.size:
             i = int(nonpositive[0])
             raise ValueError(f"atom {_atom_key(cells[i])!r} has nonpositive weight {float(w[i])!r}")
-        if abs(self.total_mass() - 1.0) > tol:
-            raise ValueError(f"plan mass {self.total_mass()!r} deviates from 1 beyond {tol}")
+        if abs(self.total_mass() - 1.0) > PLAN_TOL:
+            raise ValueError(f"plan mass {self.total_mass()!r} deviates from 1 beyond {PLAN_TOL}")
         uniq, inv = self.cell_index
         ref = np.bincount(inv[:, 0], weights=w, minlength=uniq.shape[0])
         for slot in range(1, self.n_marginals):
             marg = np.bincount(inv[:, slot], weights=w, minlength=uniq.shape[0])
-            off = np.flatnonzero(np.abs(ref - marg) > tol)
+            off = np.flatnonzero(np.abs(ref - marg) > PLAN_TOL)
             if off.size:
                 raise ValueError(
                     f"marginal {slot} deviates from marginal 0 at cell "
@@ -298,7 +298,6 @@ class PotentialVector:
 
     grid: GridSpec
     values: tuple[dict[Cell, float], ...]
-    symmetrized: dict[Cell, float] | None = field(default=None, compare=False)
 
     @property
     def n_marginals(self) -> int:
@@ -323,18 +322,16 @@ class PotentialVector:
         return max(abs(v) for vals in self.values for v in vals.values())
 
 
-def symmetrize_potentials(potentials: PotentialVector) -> PotentialVector:
-    """Average the marginal potentials into one symmetric function.
-
-    For permutation-invariant costs the symmetrized N-tuple stays dual
-    feasible (average the constraint over cyclic shifts) and its dual
-    objective equals the original one, so nothing is lost by symmetrizing.
-    """
+def _symmetric_sup(potentials: PotentialVector) -> float:
+    """Sup norm of the slot average, the symmetric potential the a priori
+    bound is stated for: math.fsum of the N slot values over N at every
+    cell of any slot, even when the slots agree (for N = 3,
+    fsum([a, a, a]) / 3 need not be a).  DimensionMismatch when a slot
+    lacks a cell another one holds."""
     cells = sorted(set().union(*[set(v) for v in potentials.values]))
     n = potentials.n_marginals
     table = np.array([_slot_values(potentials, i, cells) for i in range(n)]).reshape(n, -1)
-    sym = dict(zip(cells, (_fsum_rows(table.T) / n).tolist()))
-    return PotentialVector(potentials.grid, tuple(dict(sym) for _ in range(n)), sym)
+    return max(abs(v) for v in (_fsum_rows(table.T) / n).tolist())
 
 
 def _slot_values(potentials: PotentialVector, slot: int, cells) -> list[float]:
@@ -368,38 +365,42 @@ class DualityReport:
     cost_note: str
 
     def as_dict(self) -> dict:
-        return {
-            "primal_value": self.primal_value,
-            "dual_value": self.dual_value,
-            "relative_gap": self.relative_gap,
-            "max_slackness_violation": self.max_slackness_violation,
-            "diagonal_clearance_alpha": self.diagonal_clearance_alpha,
-            "potential_bound": self.potential_bound,
-            "potential_bound_satisfied": self.potential_bound_satisfied,
-            "max_dual_violation": self.max_dual_violation,
-            "potential_sup": self.potential_sup,
-            "bound_radius": self.bound_radius,
-            "bound_level_constant": self.bound_level_constant,
-            "cost_mode": self.cost_mode,
-            "cost_note": self.cost_note,
-        }
+        """The fields by name, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_kv_block(self) -> str:
-        lines = []
-        for k, v in self.as_dict().items():
-            if isinstance(v, float):
-                lines.append(f"{k}={v!r}")
-            else:
-                lines.append(f"{k}={v}")
-        return "\n".join(lines) + "\n"
+        items = self.as_dict().items()
+        return "".join(f"{k}={v!r}\n" if isinstance(v, float) else f"{k}={v}\n" for k, v in items)
 
     def to_json(self) -> str:
-        def _clean(v):
-            if isinstance(v, float) and (math.isnan(v) or math.isinf(v)):
-                return repr(v)
-            return v
+        return json.dumps({k: _json_clean(v) for k, v in self.as_dict().items()}, sort_keys=True)
 
-        return json.dumps({k: _clean(v) for k, v in self.as_dict().items()}, sort_keys=True)
+
+def _json_clean(v):
+    """A non-finite float as its repr, which JSON can hold; v otherwise."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(v)
+    return v
+
+
+def certificate_failures(
+    primal: float, gap: float, slackness: float, dual_violation: float,
+    gap_tol: float, feas_tol: float,
+) -> list[str]:
+    """Why an audited primal-dual pair fails its certificate; empty when
+    it passes.  It fails on a relative gap above gap_tol, or on a
+    complementary slackness or dual feasibility violation above
+    feas_tol * (1 + |primal|).  `mmot verify` and `mmot converge` exit 4
+    on exactly these."""
+    scale = feas_tol * (1.0 + abs(primal))
+    out = []
+    if gap > gap_tol:
+        out.append(f"duality gap {gap!r} above {gap_tol!r}")
+    if slackness > scale:
+        out.append(f"complementary slackness off by {slackness!r}")
+    if dual_violation > scale:
+        out.append(f"dual constraint violated by {dual_violation!r}")
+    return out
 
 
 _CELL_NOTE = (
@@ -507,7 +508,6 @@ def verify_duality(
     positions: dict[Cell, tuple[float, ...]] | None = None,
     window_radius: float | None = None,
     m_fraction: float = 0.1,
-    feas_tol: float = DUAL_FEAS_TOL,
 ) -> DualityReport:
     """Audit a primal-dual pair: objectives, gap, slackness, feasibility,
     diagonal clearance, and the a priori potential bound."""
@@ -549,8 +549,7 @@ def verify_duality(
     violation = max(max_dual_excess(u_mat, recip), 0.0)
 
     alpha = diagonal_clearance(plan, window_radius)
-    sym = symmetrize_potentials(potentials)
-    pot_sup = max(abs(v) for v in sym.symmetrized.values())
+    pot_sup = _symmetric_sup(potentials)
     try:
         r, k = bound_parameters(
             plan, plan_measure(plan), model,
@@ -558,7 +557,7 @@ def verify_duality(
             m_fraction=m_fraction,
         )
         bound = potential_bound(n, r, k)
-        satisfied = pot_sup <= bound + 1e-12
+        satisfied = pot_sup <= bound + BOUND_SLACK
     except NoOffDiagonalSupport:
         r, k, bound, satisfied = math.nan, math.nan, math.nan, False
 
@@ -590,12 +589,12 @@ def _slot_gaps(cells: np.ndarray, grid: GridSpec, radius: float) -> tuple[np.nda
     is cell_side * sqrt(gap_sq).  Raises ValueError for a radius beyond
     the grid window or a cell the grid does not hold.
     """
-    if radius > grid.window_halfwidth + 1e-12:
+    if radius > grid.window_halfwidth + WINDOW_SLACK:
         raise ValueError("window_radius exceeds the grid window")
     _require_cells(grid, cells)
     side = grid.cell_side
     inside = (
-        ((cells - 1) * side >= -radius - 1e-12) & (cells * side <= radius + 1e-12)
+        ((cells - 1) * side >= -radius - WINDOW_SLACK) & (cells * side <= radius + WINDOW_SLACK)
     ).all(axis=(1, 2))
     n = cells.shape[1]
     gap_sq = np.full(cells.shape[0], np.iinfo(np.int64).max)
@@ -871,7 +870,7 @@ def swap_improve(
     for cells, w in plan.atoms.items():
         i = member.get(cells)
         rem = w if i is None else w * (1.0 - lam[i])
-        if rem > 1e-15:
+        if rem > SWAP_DROP:
             new_atoms[cells] = new_atoms.get(cells, 0.0) + rem
 
     # slot marginals of the scaled restrictions, normalized to mass one
@@ -890,7 +889,7 @@ def swap_improve(
             w = mu
             for _, q in combo:
                 w *= q
-            if w > 1e-15:
+            if w > SWAP_DROP:
                 key = tuple(c for c, _ in combo)
                 new_atoms[key] = new_atoms.get(key, 0.0) + w
 
@@ -1003,7 +1002,7 @@ def load_plan(path) -> TransportPlan:
     if w.size == 0:
         raise ParseError(f"{path}: no atoms")
     total = math.fsum(w.tolist())
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > FILE_SUM:
         raise NormalizationError(f"{path}: plan mass {total!r} too far from 1")
     plan = TransportPlan.from_arrays(grid, n, cells, w)
     try:

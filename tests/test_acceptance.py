@@ -26,7 +26,6 @@ from mmot.transport import (
     TransportPlan,
     plan_cost,
     product_plan_cost,
-    symmetrize_potentials,
     verify_duality,
 )
 
@@ -133,15 +132,15 @@ def test_criterion_1_strong_duality_across_suite(suite):
 
 def test_criterion_2_closed_form_instances():
     t0 = time.perf_counter()
-    # Two points at distance 2, equal mass: value 1/2, symmetrized
-    # potential 1/4 at both cells.
+    # Two points at distance 2, equal mass: value 1/2, and the solver's
+    # potential is already symmetric: 1/4 at both cells in every slot.
     two = FiniteAtomic(points=((-1.0,), (1.0,)), weights=(0.5, 0.5))
     grid = GridSpec(3, 1.0, 1)
     mu = discretize(two, grid)
     model = coulomb(2)
     plan, pots, value = solve_mmot(mu, model, cost_mode="pointwise")
-    sym = symmetrize_potentials(pots)
-    sym_vals = [sym.value(0, c) for c in mu.support()]
+    symmetric = all(slot == pots.values[0] for slot in pots.values)
+    sym_vals = [pots.value(0, c) for c in mu.support()]
 
     pts = [mu.positions[c] for c in mu.support()]
     w = np.array([mu.atoms[c] for c in mu.support()])
@@ -173,6 +172,7 @@ def test_criterion_2_closed_form_instances():
 
     ok = (
         abs(value - 0.5) <= 1e-10
+        and symmetric
         and all(abs(v - 0.25) <= 1e-10 for v in sym_vals)
         and abs(oracle_two - 0.5) <= 1e-10
         and abs(tri_value - 3.0) <= 1e-9
@@ -186,6 +186,7 @@ def test_criterion_2_closed_form_instances():
         f"{sym_vals[1]!r}, triangle {tri_value!r} (oracle {oracle_tri!r}), {elapsed:.2f}s",
     )
     assert abs(value - 0.5) <= 1e-10
+    assert symmetric
     assert all(abs(v - 0.25) <= 1e-10 for v in sym_vals)
     assert abs(oracle_two - 0.5) <= 1e-10
     assert abs(tri_value - 3.0) <= 1e-9

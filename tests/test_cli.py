@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, stream discipline, determinism."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from mmot import harness
 from mmot.cli import load_config, main, parse_density
 from mmot.errors import ParseError
 from mmot.measure import FiniteAtomic, TruncatedGaussian, UniformBall
@@ -325,6 +327,39 @@ def test_converge_out_file_and_stability(capsys, tmp_path):
 
     # identical configuration: identical table up to the wall-time column
     assert _drop_ms(out_a.read_text()) == _drop_ms(out_b.read_text())
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("max_dual_violation", "dual constraint violated"),
+        ("max_slackness_violation", "complementary slackness off"),
+    ],
+)
+def test_converge_fails_on_the_audit_like_verify(capsys, monkeypatch, field, message):
+    # a level whose audit finds a violation fails converge with exit 4, as
+    # verify would, while the CSV, which has no column for it, is unchanged
+    argv = [
+        "converge", "--density", "ball:center=0:radius=1", "--N", "2",
+        "--levels", "1,2", "--R", "1",
+    ]
+    code, clean, _ = _run(capsys, argv)
+    assert code == 0
+    audit = harness.verify_duality
+
+    def violating(*args, **kwargs):
+        return dataclasses.replace(audit(*args, **kwargs), **{field: 1e-3})
+
+    monkeypatch.setattr(harness, "verify_duality", violating)
+    code, out, err = _run(capsys, argv)
+    assert code == 4
+    assert f"converge: level 1: {message} by 0.001" in err
+    assert f"converge: level 2: {message} by 0.001" in err
+
+    def _drop_ms(text):
+        return [",".join(l.split(",")[:-1]) for l in text.strip().split("\n")]
+
+    assert _drop_ms(out) == _drop_ms(clean)
 
 
 def test_converge_rejects_stored_measures(capsys, tmp_path):

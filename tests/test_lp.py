@@ -21,7 +21,8 @@ from mmot.grid import GridSpec
 from mmot.lp import solve_mmot, solve_transport
 from mmot.measure import FiniteAtomic, TruncatedGaussian, UniformBall, discretize
 from mmot.symmetry import Symmetry, symmetry_group
-from mmot.transport import DUAL_FEAS_TOL, _support_recip, max_dual_excess, verify_duality
+from mmot.tolerances import FEAS_TOL
+from mmot.transport import _support_recip, max_dual_excess, verify_duality
 
 from oracles import (
     box_sup_dist,
@@ -152,6 +153,14 @@ def test_solve_transport_injective_needs_enough_points():
         solve_transport(np.array([1.0 / 3] * 3)[:2] * 1.5, recip, 3)
 
 
+def test_solve_mmot_refuses_a_pointwise_weight_above_one_over_n():
+    # three atoms, one of weight 0.6 > 1/2: solve_transport's guard refuses
+    rho = FiniteAtomic(points=((-0.5,), (0.1,), (0.6,)), weights=(0.6, 0.2, 0.2))
+    mu = discretize(rho, GridSpec(2, 1.0, 1))
+    with pytest.raises(InsufficientSupport, match="exceeds 1/2"):
+        solve_mmot(mu, coulomb(2), cost_mode="pointwise")
+
+
 def test_solve_transport_input_validation():
     recip = np.ones((2, 2))
     with pytest.raises(ValueError):
@@ -227,7 +236,7 @@ def test_cell_mode_matches_quantile_shift_oracle_in_1d():
             assert value == pytest.approx(want, abs=1e-9), (n, level, len(support))
 
 
-def test_column_generation_reaches_full_pool_optimum():
+def test_column_generation_reaches_full_pool_optimum(monkeypatch):
     # force the generated route by capping the pool, compare to the
     # uncapped solve
     rng = np.random.default_rng(83)
@@ -237,7 +246,8 @@ def test_column_generation_reaches_full_pool_optimum():
     recip = rng.uniform(0.2, 1.0, size=(m, m))
     recip = 0.5 * (recip + recip.T)
     _, _, full = solve_transport(w, recip, n)
-    _, _, capped = solve_transport(w, recip, n, pool_cap=m)
+    monkeypatch.setattr(lp, "_POOL_CAP", m)
+    _, _, capped = solve_transport(w, recip, n)
     assert capped == pytest.approx(full, abs=1e-9)
 
 
@@ -262,7 +272,8 @@ def test_column_generation_does_not_import_numpy_ma():
         w /= w.sum()
         recip = rng.uniform(0.2, 1.0, size=(m, m))
         recip = 0.5 * (recip + recip.T)
-        lp.solve_transport(w, recip, n, pool_cap=m)
+        lp._POOL_CAP = m
+        lp.solve_transport(w, recip, n)
         print(sum(added), "numpy.ma" in sys.modules)
         """
     )
@@ -598,7 +609,7 @@ def test_column_generation_past_the_pool_cap_certifies_1d_ball():
     assert value == pytest.approx(want, abs=1e-12)
     report = verify_duality(plan, pots, coulomb(n))
     assert report.relative_gap <= 1e-8
-    assert report.max_dual_violation <= DUAL_FEAS_TOL
+    assert report.max_dual_violation <= FEAS_TOL
     assert report.primal_value == value
 
 
@@ -621,7 +632,8 @@ def test_complete_pool_refines_without_an_ordered_rescan(monkeypatch):
     m = len(mu.atoms)
     solve_mmot(mu, coulomb(3))
     assert calls == []
-    solve_mmot(mu, coulomb(3), pool_cap=0)
+    monkeypatch.setattr(lp, "_POOL_CAP", 0)
+    solve_mmot(mu, coulomb(3))
     assert calls == [(3, m)]
 
 
@@ -666,10 +678,11 @@ def test_returned_potential_is_feasible_and_tight(instance, capped):
     w, recip, n, perms = instance
     injective = bool(np.isinf(np.diag(recip)).all())
     assume(not (capped and injective))  # pointwise pools are never generated
-    atoms, u_mat, _ = solve_transport(
-        w, recip, n, group=perms, pool_cap=0 if capped else lp._POOL_CAP
-    )
-    tol = lp._FEAS_TOL * lp._cost_scale(recip, n)
+    with pytest.MonkeyPatch.context() as mp:
+        if capped:
+            mp.setattr(lp, "_POOL_CAP", 0)
+        atoms, u_mat, _ = solve_transport(w, recip, n, group=perms)
+    tol = FEAS_TOL * lp._cost_scale(recip, n)
     assert max_dual_excess(u_mat, recip) <= tol
     for t, x in atoms.items():
         assert abs(_pair_sum(recip, t) - math.fsum(u_mat[i, t[i]] for i in range(n))) <= tol
@@ -681,7 +694,7 @@ def test_pointwise_potential_is_feasible_and_tight(case):
     mu, n = case
     plan, pots, value = solve_mmot(mu, coulomb(n), cost_mode="pointwise")
     recip = _support_recip(coulomb(n), mu.grid, mu.support(), "pointwise", mu.positions)
-    tol = lp._FEAS_TOL * lp._cost_scale(recip, n)
+    tol = FEAS_TOL * lp._cost_scale(recip, n)
     report = verify_duality(plan, pots, coulomb(n), cost_mode="pointwise", positions=mu.positions)
     assert report.max_dual_violation <= tol
     assert report.max_slackness_violation <= tol

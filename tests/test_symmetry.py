@@ -15,7 +15,8 @@ from mmot.grid import GridSpec
 from mmot.lp import solve_mmot, solve_transport
 from mmot.measure import DiscreteMeasure, FiniteAtomic, UniformBall, discretize
 from mmot.symmetry import Symmetry, symmetry_group
-from mmot.transport import DUAL_FEAS_TOL, _support_recip, max_dual_excess, verify_duality
+from mmot.tolerances import FEAS_TOL
+from mmot.transport import _support_recip, max_dual_excess, verify_duality
 
 
 def _elements(d):
@@ -131,7 +132,9 @@ def test_orbit_lp_equals_the_unreduced_lp(instance):
     _, _, plain = solve_transport(w, recip, n)
     assert value == pytest.approx(plain, abs=1e-12)
     # past the cap, column generation pools the classes of violating tuples
-    _, _, generated = solve_transport(w, recip, n, group=perms, pool_cap=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_POOL_CAP", 0)
+        _, _, generated = solve_transport(w, recip, n, group=perms)
     assert generated == pytest.approx(plain, abs=1e-12)
     assert max_dual_excess(u_mat, recip) <= 1e-9 * lp._cost_scale(recip, n)
     for slot in range(n):
@@ -207,7 +210,7 @@ def test_scale_instance_certified():
     plan, pots, value = solve_mmot(mu, coulomb(2))
     report = verify_duality(plan, pots, coulomb(2))
     assert report.relative_gap <= 1e-8
-    assert report.max_dual_violation <= DUAL_FEAS_TOL
+    assert report.max_dual_violation <= FEAS_TOL
     assert report.primal_value == value
 
 

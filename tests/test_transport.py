@@ -46,7 +46,6 @@ from mmot.transport import (
     save_plan,
     save_potentials,
     swap_improve,
-    symmetrize_potentials,
     verify_duality,
 )
 from mmot.transport import _ball_mass_profiles
@@ -116,15 +115,23 @@ def test_potential_vector_access():
         pots.dual_objective({(0,): 1.0})
 
 
-def test_symmetrize_preserves_dual_objective():
+def test_potential_sup_is_that_of_the_slot_average():
+    # slots 0.7 / -0.2 and 0.1 / 0.4 average to 0.25 at both cells, while
+    # every slot value but -0.2 is larger in magnitude
     pots = PotentialVector(
         G1, ({(-1,): 0.7, (2,): 0.1}, {(-1,): -0.2, (2,): 0.4})
     )
-    w = {(-1,): 0.35, (2,): 0.65}
-    sym = symmetrize_potentials(pots)
-    assert sym.dual_objective(w) == pytest.approx(pots.dual_objective(w), abs=1e-15)
-    assert sym.symmetrized[(-1,)] == pytest.approx(0.25)
-    assert sym.values[0] == sym.values[1]
+    plan = _two_point_plan(diagonal=False)
+    report = verify_duality(plan, pots, coulomb(2))
+    assert report.potential_sup == pytest.approx(0.25)
+    assert pots.sup_norm() == 0.7
+    # the average runs over every cell of any slot: one held by slot 1
+    # alone, off the plan, is a mismatch
+    lopsided = PotentialVector(
+        G1, ({(-1,): 0.25, (2,): 0.25}, {(-1,): 0.25, (1,): 0.0, (2,): 0.25})
+    )
+    with pytest.raises(DimensionMismatch):
+        verify_duality(plan, lopsided, coulomb(2))
 
 
 def test_max_dual_excess_matches_bruteforce():
