@@ -430,7 +430,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _note_bound("verify", report)
     reasons = certificate_failures(
         report.primal_value, report.relative_gap, report.max_slackness_violation,
-        report.max_dual_violation, gap_tol, feas_tol,
+        report.max_dual_violation, report.potential_sup, gap_tol, feas_tol,
     )
     if reasons:
         for r in reasons:

@@ -82,7 +82,7 @@ class ConvergenceTable:
                 out.append(f"level {r.level}: {r.error}")
                 continue
             failures = certificate_failures(
-                r.primal, r.gap, r.slackness, r.dual_violation, gap_tol, feas_tol
+                r.primal, r.gap, r.slackness, r.dual_violation, r.pot_sup, gap_tol, feas_tol
             )
             out += [f"level {r.level}: {f}" for f in failures]
             if prev is not None and r.primal < prev - MONO_SLACK * (1.0 + abs(prev)):
@@ -107,7 +107,6 @@ def converge(
     window_halfwidth: float,
     dimension: int | None = None,
     *,
-    samples_base: int = 2,
     m_fraction: float = 0.1,
     gap_tol: float = GAP_TOL,
     feas_tol: float = FEAS_TOL,
@@ -136,7 +135,7 @@ def converge(
         grid = GridSpec(n, window_halfwidth, dimension)
         t0 = time.perf_counter()
         try:
-            spa = min(samples_base * 2 ** (finest - n), 128)
+            spa = min(2 * 2 ** (finest - n), 128)
             measure = discretize(density, grid, samples_per_axis=spa)
             plan, potentials, value = solve_mmot(
                 measure, model, cost_mode=cost_mode, feas_tol=feas_tol, gap_tol=gap_tol

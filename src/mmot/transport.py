@@ -6,14 +6,16 @@ reproducing the measure.  A PotentialVector holds one dual function per
 marginal on the support cells.  verify_duality packages the full
 primal-dual audit (objective gap, complementary slackness, an exhaustive
 dual feasibility rescan, diagonal clearance, and an a priori sup-norm
-bound on the symmetrized potential) into a DualityReport.
+bound on the symmetrized potential) into a DualityReport; a figure that a
+non-finite potential value touches is NaN or infinite, never dropped.
 
 A plan's atoms dict has one array view, TransportPlan.arrays: the cells as
 an int64 (atoms, N, d) array and the weights as float64, in sorted atom
 order, built once per plan (solve_mmot and load_plan hand it over ready).
 Validation, marginals, pricing, the slackness check, the diagonal
 clearance, the potential bound and the plan file all run on that view
-with whole-array operations.  Results stay bitwise those of pricing one
+with whole-array operations (one slot-gap pass per plan serves both the
+clearance and the bound).  Results stay bitwise those of pricing one
 atom at a time: pair and axis terms are evaluated by the same scalar
 functions, once per distinct value; sums of three or more terms per atom
 stay math.fsum (up to two, one IEEE addition is the correctly rounded
@@ -60,7 +62,7 @@ from .errors import (
 )
 from .grid import Cell, GridSpec
 from .measure import DiscreteMeasure, _parse_header, _strip_comment
-from .tolerances import BOUND_SLACK, FILE_SUM, PLAN_TOL, SWAP_DROP, WINDOW_SLACK
+from .tolerances import BOUND_SLACK, FILE_SUM, PLAN_TOL, SWAP_DROP
 
 _HEADER_PLAN = "mmot-plan v1"
 _HEADER_POTENTIALS = "mmot-potentials v1"
@@ -134,14 +136,34 @@ class TransportPlan:
     def total_mass(self) -> float:
         return math.fsum(self.atoms.values())
 
+    @functools.cached_property
+    def _slot_gaps(self) -> np.ndarray:
+        """Smallest squared slot gap of every atom of the array view, in
+        lattice units: the minimum over its slot pairs of
+        sum_k max(|a_k - b_k| - 1, 0)^2 as int64, so that the pair's
+        inf_dist is cell_side * sqrt(gap).  ValueError for a cell the grid
+        does not hold."""
+        cells = self.arrays[0]
+        _require_cells(self.grid, cells)
+        gap_sq = np.full(cells.shape[0], np.iinfo(np.int64).max)
+        for i, j in combinations(range(cells.shape[1]), 2):
+            g = np.maximum(np.abs(cells[:, i] - cells[:, j]) - 1, 0)
+            np.minimum(gap_sq, (g * g).sum(axis=1), out=gap_sq)
+        return gap_sq
+
+    def _marginal_arrays(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, weights): the slot's cells as sorted positions in
+        cell_index, and their weights, each summed in sorted atom order."""
+        uniq, inv = self.cell_index
+        ids = np.flatnonzero(np.bincount(inv[:, slot], minlength=uniq.shape[0]))
+        sums = np.bincount(inv[:, slot], weights=self.arrays[1], minlength=uniq.shape[0])
+        return ids, sums[ids]
+
     def marginal(self, slot: int) -> dict[Cell, float]:
         """The slot's marginal, sorted by cell; each cell's weight is summed
         in sorted atom order."""
-        uniq, inv = self.cell_index
-        ids = inv[:, slot]
-        held = np.bincount(ids, minlength=uniq.shape[0]) > 0
-        sums = np.bincount(ids, weights=self.arrays[1], minlength=uniq.shape[0])
-        return dict(zip(map(tuple, uniq[held].tolist()), sums[held].tolist()))
+        ids, sums = self._marginal_arrays(slot)
+        return dict(zip(map(tuple, self.cell_index[0][ids].tolist()), sums.tolist()))
 
     def validate(self) -> None:
         """ValueError unless every atom lies on the grid with a positive
@@ -201,11 +223,6 @@ def _require_cells(grid: GridSpec, cells: np.ndarray) -> None:
         grid.require_cell(tuple(cells[bad][0].tolist()))
 
 
-def plan_measure(plan: TransportPlan) -> DiscreteMeasure:
-    """The common marginal of the plan as a DiscreteMeasure."""
-    return DiscreteMeasure(plan.grid, plan.marginal(0), None)
-
-
 def plan_cost(
     plan: TransportPlan,
     model: CostModel,
@@ -255,14 +272,22 @@ def _pair_terms(sq: np.ndarray, scale: float, s: float) -> np.ndarray:
     return table[inv.reshape(sq.shape)]
 
 
+def _fsum(values) -> float:
+    """math.fsum, but NaN where +inf meets -inf (math.fsum raises there)."""
+    try:
+        return math.fsum(values)
+    except ValueError:
+        return math.nan
+
+
 def _fsum_rows(terms: np.ndarray) -> np.ndarray:
-    """math.fsum of every row of a 2-D array.  Up to two terms one IEEE
+    """_fsum of every row of a 2-D array.  Up to two terms one IEEE
     addition is already the correctly rounded sum."""
     if terms.shape[1] == 1:
         return terms[:, 0].copy()
     if terms.shape[1] == 2:
         return terms[:, 0] + terms[:, 1]
-    return np.fromiter(map(math.fsum, terms.tolist()), dtype=float, count=terms.shape[0])
+    return np.fromiter(map(_fsum, terms.tolist()), dtype=float, count=terms.shape[0])
 
 
 def _total_cost(weights: np.ndarray, costs: np.ndarray) -> float:
@@ -309,15 +334,6 @@ class PotentialVector:
         except KeyError as exc:
             raise DimensionMismatch(f"potential {slot} has no value at cell {cell!r}") from exc
 
-    def dual_objective(self, weights: dict[Cell, float]) -> float:
-        terms = []
-        for vals in self.values:
-            for cell, w in sorted(weights.items()):
-                if cell not in vals:
-                    raise DimensionMismatch(f"potentials missing cell {cell!r}")
-                terms.append(vals[cell] * w)
-        return math.fsum(terms)
-
     def sup_norm(self) -> float:
         return max(abs(v) for vals in self.values for v in vals.values())
 
@@ -326,12 +342,12 @@ def _symmetric_sup(potentials: PotentialVector) -> float:
     """Sup norm of the slot average, the symmetric potential the a priori
     bound is stated for: math.fsum of the N slot values over N at every
     cell of any slot, even when the slots agree (for N = 3,
-    fsum([a, a, a]) / 3 need not be a).  DimensionMismatch when a slot
-    lacks a cell another one holds."""
+    fsum([a, a, a]) / 3 need not be a); NaN or infinite when a value is.
+    DimensionMismatch when a slot lacks a cell another one holds."""
     cells = sorted(set().union(*[set(v) for v in potentials.values]))
     n = potentials.n_marginals
     table = np.array([_slot_values(potentials, i, cells) for i in range(n)]).reshape(n, -1)
-    return max(abs(v) for v in (_fsum_rows(table.T) / n).tolist())
+    return float(np.abs(_fsum_rows(table.T) / n).max())
 
 
 def _slot_values(potentials: PotentialVector, slot: int, cells) -> list[float]:
@@ -385,20 +401,22 @@ def _json_clean(v):
 
 def certificate_failures(
     primal: float, gap: float, slackness: float, dual_violation: float,
-    gap_tol: float, feas_tol: float,
+    potential_sup: float, gap_tol: float, feas_tol: float,
 ) -> list[str]:
     """Why an audited primal-dual pair fails its certificate; empty when
-    it passes.  It fails on a relative gap above gap_tol, or on a
-    complementary slackness or dual feasibility violation above
-    feas_tol * (1 + |primal|).  `mmot verify` and `mmot converge` exit 4
-    on exactly these."""
+    it passes.  It passes when potential_sup is finite, the relative gap
+    is at most gap_tol, and the complementary slackness and dual
+    feasibility violations are at most feas_tol * (1 + |primal|), so a NaN
+    figure fails.  `mmot verify` and `mmot converge` exit 4 on these."""
     scale = feas_tol * (1.0 + abs(primal))
     out = []
-    if gap > gap_tol:
+    if not math.isfinite(potential_sup):
+        out.append(f"potentials hold non-finite values (potential sup {potential_sup!r})")
+    if not gap <= gap_tol:
         out.append(f"duality gap {gap!r} above {gap_tol!r}")
-    if slackness > scale:
+    if not slackness <= scale:
         out.append(f"complementary slackness off by {slackness!r}")
-    if dual_violation > scale:
+    if not dual_violation <= scale:
         out.append(f"dual constraint violated by {dual_violation!r}")
     return out
 
@@ -480,11 +498,13 @@ def max_dual_excess(u_mat: np.ndarray, recip: np.ndarray) -> float:
 
     Scans the full tuple space in two-dimensional blocks; infinite costs
     yield -inf excess and never dominate.  Positive values mean the dual
-    constraint is violated somewhere.
+    constraint is violated somewhere.  NaN once any entry is NaN.
     """
     best = -math.inf
     for _prefix, _lo, excess in dual_excess_slabs(u_mat, recip):
         cand = float(excess.max())
+        if math.isnan(cand):
+            return cand
         if cand > best:
             best = cand
     return best
@@ -499,6 +519,8 @@ def _potential_table(potentials: PotentialVector, uniq: np.ndarray, needed) -> n
     return table
 
 
+# +inf against -inf in the potentials gives NaN figures without a warning
+@np.errstate(invalid="ignore")
 def verify_duality(
     plan: TransportPlan,
     potentials: PotentialVector,
@@ -506,7 +528,6 @@ def verify_duality(
     *,
     cost_mode: str = "cell",
     positions: dict[Cell, tuple[float, ...]] | None = None,
-    window_radius: float | None = None,
     m_fraction: float = 0.1,
 ) -> DualityReport:
     """Audit a primal-dual pair: objectives, gap, slackness, feasibility,
@@ -520,42 +541,34 @@ def verify_duality(
             f"potentials {potentials.n_marginals}, cost {model.n_marginals}"
         )
     n = plan.n_marginals
-    w = plan.arrays[1]
     costs = _atom_costs(plan, model, cost_mode, positions)
-    primal = _total_cost(w, costs)
+    primal = _total_cost(plan.arrays[1], costs)
 
     # slot potentials at the plan's cells: the support (slot-0 cells) in
     # every slot for the rescan, and each slot's own cells for slackness
     uniq, inv = plan.cell_index
+    support_ids, weights = plan._marginal_arrays(0)
     needed = np.zeros((n, uniq.shape[0]), dtype=bool)
     needed[np.arange(n), inv] = True
-    support_ids = np.flatnonzero(needed[0])
     needed[:, support_ids] = True
     table = _potential_table(potentials, uniq, needed)
     u_mat = table[:, support_ids]
-    weights = np.bincount(inv[:, 0], weights=w)[support_ids]
-    dual = math.fsum((u_mat * weights).ravel().tolist())
+    dual = _fsum((u_mat * weights).ravel().tolist())
     gap = abs(primal - dual) / (1.0 + abs(primal))
 
-    # complementary slackness on the plan's own atoms
-    u_sum = _fsum_rows(table[np.arange(n), inv])
-    tight = costs - u_sum
-    tight = tight[~np.isinf(costs) & ~np.isnan(tight)]
-    slack = max(0.0, float(tight.max())) if tight.size else 0.0
+    # complementary slackness on the plan's own atoms (np.max keeps NaN)
+    tight = costs - _fsum_rows(table[np.arange(n), inv])
+    slack = float(tight[~np.isinf(costs)].max(initial=0.0))
 
     # exhaustive dual feasibility rescan over every ordered support tuple
     support = list(map(tuple, uniq[support_ids].tolist()))
     recip = _support_recip(model, plan.grid, support, cost_mode, positions)
-    violation = max(max_dual_excess(u_mat, recip), 0.0)
+    violation = float(np.maximum(max_dual_excess(u_mat, recip), 0.0))
 
-    alpha = diagonal_clearance(plan, window_radius)
+    alpha = diagonal_clearance(plan)
     pot_sup = _symmetric_sup(potentials)
     try:
-        r, k = bound_parameters(
-            plan, plan_measure(plan), model,
-            window_radius if window_radius is not None else plan.grid.window_halfwidth,
-            m_fraction=m_fraction,
-        )
+        r, k = bound_parameters(plan, model, m_fraction=m_fraction)
         bound = potential_bound(n, r, k)
         satisfied = pot_sup <= bound + BOUND_SLACK
     except NoOffDiagonalSupport:
@@ -578,46 +591,14 @@ def verify_duality(
     )
 
 
-def _slot_gaps(cells: np.ndarray, grid: GridSpec, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Window mask and smallest squared slot gap, in lattice units, of
-    every atom.
-
-    cells is an (atoms, N, d) integer array of cell indices on the grid.
-    Returns (inside, gap_sq): whether all of an atom's cells lie in
-    [-radius, radius]^d, and the minimum over its slot pairs of
-    sum_k max(|a_k - b_k| - 1, 0)^2 as int64, so that the pair's inf_dist
-    is cell_side * sqrt(gap_sq).  Raises ValueError for a radius beyond
-    the grid window or a cell the grid does not hold.
-    """
-    if radius > grid.window_halfwidth + WINDOW_SLACK:
-        raise ValueError("window_radius exceeds the grid window")
-    _require_cells(grid, cells)
-    side = grid.cell_side
-    inside = (
-        ((cells - 1) * side >= -radius - WINDOW_SLACK) & (cells * side <= radius + WINDOW_SLACK)
-    ).all(axis=(1, 2))
-    n = cells.shape[1]
-    gap_sq = np.full(cells.shape[0], np.iinfo(np.int64).max)
-    for i in range(n):
-        for j in range(i + 1, n):
-            g = np.maximum(np.abs(cells[:, i] - cells[:, j]) - 1, 0)
-            np.minimum(gap_sq, (g * g).sum(axis=1), out=gap_sq)
-    return inside, gap_sq
-
-
-def diagonal_clearance(plan: TransportPlan, window_radius: float | None = None) -> float:
-    """Smallest pairwise guaranteed distance among plan atoms in the window.
-
-    For each atom whose cells all lie inside [-radius, radius]^d, take the
-    minimum inf_dist over slot pairs; return the minimum over those atoms.
-    Atoms with touching cells give zero; no atom in the window gives +inf.
-    """
-    grid = plan.grid
-    R = grid.window_halfwidth if window_radius is None else float(window_radius)
-    inside, gap_sq = _slot_gaps(plan.arrays[0], grid, R)
-    if not inside.any():
+def diagonal_clearance(plan: TransportPlan) -> float:
+    """Smallest pairwise guaranteed distance among the plan's atoms: the
+    minimum over atoms of the minimum inf_dist over slot pairs.  Atoms
+    with touching cells give zero; a plan without atoms gives +inf."""
+    gap_sq = plan._slot_gaps
+    if gap_sq.size == 0:
         return math.inf
-    return grid.cell_side * math.sqrt(int(gap_sq[inside].min()))
+    return plan.grid.cell_side * math.sqrt(int(gap_sq.min()))
 
 
 def product_plan(measure: DiscreteMeasure, n_marginals: int, max_atoms: int = 2_000_000) -> TransportPlan:
@@ -687,9 +668,10 @@ def _axis_samples(dimension: int) -> int:
     return s
 
 
-def _ball_mass_profiles(measure: DiscreteMeasure, centers, limit: float = math.inf):
+def _ball_mass_profiles(plan: TransportPlan, centers, limit: float = math.inf):
     """For each center, the sorted distances and cumulative masses of the
-    cell-smeared samples closer to it than limit.
+    cell-smeared samples of the plan's slot-0 marginal closer to it than
+    limit.
 
     Each support cell's weight is spread uniformly over s**d midpoint
     samples, which makes the mass of a ball continuous in the radius and
@@ -697,15 +679,13 @@ def _ball_mass_profiles(measure: DiscreteMeasure, centers, limit: float = math.i
     the profile below limit is the same prefix, bitwise, that sorting all
     samples gives.
     """
-    grid = measure.grid
-    d = grid.dimension
+    d = plan.grid.dimension
     s = _axis_samples(d)
-    side = grid.cell_side
+    side = plan.grid.cell_side
     offs = (np.arange(s) + 0.5) * (side / s)
     local = np.stack(np.meshgrid(*([offs] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    support = measure.support()
-    all_lows = (np.array(support, dtype=float) - 1.0) * side
-    all_w = np.array([measure.atoms[c] for c in support])
+    ids, all_w = plan._marginal_arrays(0)
+    all_lows = (plan.cell_index[0][ids] - 1.0) * side
     profiles = []
     for center in centers:
         lows, cell_w = all_lows, all_w
@@ -732,56 +712,42 @@ _LADDER_RATIO = 2.0**-0.125
 
 
 def bound_parameters(
-    plan: TransportPlan,
-    measure: DiscreteMeasure,
-    model: CostModel,
-    window_radius: float,
-    m_fraction: float = 0.1,
+    plan: TransportPlan, model: CostModel, m_fraction: float = 0.1
 ) -> tuple[float, float]:
     """Choose the (radius, level constant) pair feeding potential_bound.
 
-    Picks the support atom inside the window that maximizes its pairwise
-    minimum distance, sets k to the pointwise cost at its cell centers
-    divided by N, and searches a fine geometric ladder downward from a
-    quarter of the diagonal clearance for the largest radius whose N balls
-    around the atom's cell centers carry measure below
-    m_fraction * (plan mass in window) / 4.
+    Picks the plan atom that maximizes its pairwise minimum distance, sets
+    k to the pointwise cost at its cell centers divided by N, and searches
+    a fine geometric ladder downward from a quarter of the diagonal
+    clearance for the largest radius whose N balls around the atom's cell
+    centers carry mass of the plan's slot-0 marginal below
+    m_fraction * (plan mass) / 4.
     """
     if not 0.0 < m_fraction < 1.0:
         raise ValueError("m_fraction must lie in (0, 1)")
     grid = plan.grid
-    n = plan.n_marginals
-    side = grid.cell_side
-    R = float(window_radius)
-
     cells, w = plan.arrays
-    inside, gap_sq = _slot_gaps(cells, grid, R)
-    ids = np.flatnonzero(inside)
-    if ids.size == 0 or gap_sq[ids].max() == 0:
-        raise NoOffDiagonalSupport(
-            "no plan atom in the window keeps all slots strictly apart"
-        )
+    gap_sq = plan._slot_gaps
+    if gap_sq.size == 0 or gap_sq.max() == 0:
+        raise NoOffDiagonalSupport("no plan atom keeps all slots strictly apart")
     # np.argmax takes the first maximum: the first atom, in support order,
     # of the largest separation
-    best = int(ids[np.argmax(gap_sq[ids])])
-    best_sep = side * math.sqrt(int(gap_sq[best]))
-    # cumsum adds in support order, one atom after another
-    window_mass = float(np.cumsum(w[ids])[-1])
-
-    alpha = side * math.sqrt(int(gap_sq[ids].min()))
+    best = int(np.argmax(gap_sq))
     # a touching atom elsewhere zeroes the clearance; anchor the radius cap
     # on the selected atom's own separation then
-    alpha_eff = alpha if alpha > 0.0 else best_sep
+    alpha = diagonal_clearance(plan)
+    alpha_eff = alpha if alpha > 0.0 else grid.cell_side * math.sqrt(int(gap_sq[best]))
     centers = [grid.cell_center(c) for c in _atom_key(cells[best])]
-    k = pointwise_cost(model, centers) / n
+    k = pointwise_cost(model, centers) / plan.n_marginals
 
-    threshold = m_fraction * window_mass / 4.0
+    # cumsum adds in support order, one atom after another
+    threshold = m_fraction * float(np.cumsum(w)[-1]) / 4.0
     # every radius tried is at most r0, so only samples closer than r0 count;
     # accumulate reproduces r *= ratio step by step
     r0 = alpha_eff / 4.0
     radii = np.multiply.accumulate(np.r_[r0, np.full(_LADDER_STEPS - 1, _LADDER_RATIO)])
     mass = np.zeros(_LADDER_STEPS)
-    for dist, cum in _ball_mass_profiles(measure, [np.array(c) for c in centers], r0):
+    for dist, cum in _ball_mass_profiles(plan, [np.array(c) for c in centers], r0):
         idx = np.searchsorted(dist, radii, side="left")
         part = np.zeros(_LADDER_STEPS)
         hit = idx > 0

@@ -286,6 +286,59 @@ def test_verify_detects_corrupted_potentials(capsys, tmp_path):
     assert "mmot-error:" in err
 
 
+# values for the potentials file: NaN, +inf, and +inf and -inf line by line
+NON_FINITE = {
+    "nan": lambda i: "nan",
+    "inf": lambda i: "inf",
+    "mixed": lambda i: "-inf" if i % 2 else "inf",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE))
+def test_verify_fails_non_finite_potentials(capsys, tmp_path, kind):
+    plan_path = tmp_path / "out.plan"
+    pot_path = tmp_path / "out.potentials"
+    solve = [
+        "solve", "--density", "ball:center=0:radius=1", "--N", "2", "--level", "2",
+        "--R", "1", "--out", str(plan_path), "--potentials", str(pot_path),
+    ]
+    assert _run(capsys, solve)[0] == 0
+    argv = ["--plan", str(plan_path), "--potentials", str(pot_path)]
+    assert _run(capsys, ["verify"] + argv)[0] == 0
+    lines = pot_path.read_text().splitlines()
+    body = [" ".join(ln.split()[:-1] + [NON_FINITE[kind](i)]) for i, ln in enumerate(lines[1:])]
+    pot_path.write_text("\n".join([lines[0]] + body) + "\n")
+    code, _, err = _run(capsys, ["verify"] + argv)
+    assert code == 4
+    assert "verify: potentials hold non-finite values" in err
+    assert "verify: OK" not in err
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE))
+def test_converge_fails_non_finite_potentials(capsys, monkeypatch, kind):
+    solve = harness.solve_mmot
+
+    def spoiled(*args, **kwargs):
+        plan, pots, value = solve(*args, **kwargs)
+        values = tuple(
+            {c: float(NON_FINITE[kind](i)) for i, c in enumerate(sorted(slot))}
+            for slot in pots.values
+        )
+        return plan, dataclasses.replace(pots, values=values), value
+
+    monkeypatch.setattr(harness, "solve_mmot", spoiled)
+    code, _, err = _run(
+        capsys,
+        [
+            "converge", "--density", "ball:center=0:radius=1", "--N", "2",
+            "--levels", "1,2", "--R", "1",
+        ],
+    )
+    assert code == 4
+    assert "converge: level 1: potentials hold non-finite values" in err
+    assert "converge: level 2: potentials hold non-finite values" in err
+
+
 def test_verify_missing_file_exits_2(capsys, tmp_path):
     code, _, err = _run(
         capsys,
@@ -337,8 +390,9 @@ def test_converge_out_file_and_stability(capsys, tmp_path):
     ],
 )
 def test_converge_fails_on_the_audit_like_verify(capsys, monkeypatch, field, message):
-    # a level whose audit finds a violation fails converge with exit 4, as
-    # verify would, while the CSV, which has no column for it, is unchanged
+    # a level whose audit finds a violation, or a NaN in its place, fails
+    # converge with exit 4, as verify would, while the CSV, which has no
+    # column for it, is unchanged
     argv = [
         "converge", "--density", "ball:center=0:radius=1", "--N", "2",
         "--levels", "1,2", "--R", "1",
@@ -347,19 +401,19 @@ def test_converge_fails_on_the_audit_like_verify(capsys, monkeypatch, field, mes
     assert code == 0
     audit = harness.verify_duality
 
-    def violating(*args, **kwargs):
-        return dataclasses.replace(audit(*args, **kwargs), **{field: 1e-3})
-
-    monkeypatch.setattr(harness, "verify_duality", violating)
-    code, out, err = _run(capsys, argv)
-    assert code == 4
-    assert f"converge: level 1: {message} by 0.001" in err
-    assert f"converge: level 2: {message} by 0.001" in err
-
     def _drop_ms(text):
         return [",".join(l.split(",")[:-1]) for l in text.strip().split("\n")]
 
-    assert _drop_ms(out) == _drop_ms(clean)
+    for value in (1e-3, float("nan")):
+        def violating(*args, **kwargs):
+            return dataclasses.replace(audit(*args, **kwargs), **{field: value})
+
+        monkeypatch.setattr(harness, "verify_duality", violating)
+        code, out, err = _run(capsys, argv)
+        assert code == 4
+        assert f"converge: level 1: {message} by {value!r}" in err
+        assert f"converge: level 2: {message} by {value!r}" in err
+        assert _drop_ms(out) == _drop_ms(clean)
 
 
 def test_converge_rejects_stored_measures(capsys, tmp_path):

@@ -1,8 +1,10 @@
 """Plans, potentials, duality audits, bounds, and the swap rearrangement."""
 
+import ast
 import functools
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from mmot.errors import (
     OverlappingNeighborhoods,
     ParseError,
 )
+from mmot import transport
 from mmot.grid import GridSpec, inf_dist
 from mmot.lp import solve_mmot
 from mmot.measure import DiscreteMeasure, UniformBall, discretize
@@ -39,7 +42,6 @@ from mmot.transport import (
     load_potentials,
     max_dual_excess,
     plan_cost,
-    plan_measure,
     potential_bound,
     product_plan,
     product_plan_cost,
@@ -69,7 +71,6 @@ def test_plan_marginals_and_validate():
     assert plan.marginal(0) == {(-1,): 0.5, (2,): 0.5}
     assert plan.marginal(0) == plan.marginal(1)
     assert plan.total_mass() == 1.0
-    assert plan_measure(plan).atoms == plan.marginal(0)
 
     bad_arity = TransportPlan(G1, 2, {((-1,),): 1.0})
     with pytest.raises(ValueError):
@@ -108,11 +109,7 @@ def test_potential_vector_access():
     assert pots.value(0, (-1,)) == 0.25
     with pytest.raises(DimensionMismatch):
         pots.value(1, (1,))
-    w = {(-1,): 0.5, (2,): 0.5}
-    assert pots.dual_objective(w) == pytest.approx(0.5 * (0.25 + 0.3 - 0.1 + 0.0))
     assert pots.sup_norm() == 0.3
-    with pytest.raises(DimensionMismatch):
-        pots.dual_objective({(0,): 1.0})
 
 
 def test_potential_sup_is_that_of_the_slot_average():
@@ -155,6 +152,39 @@ def test_max_dual_excess_ignores_infinite_cost():
     recip = np.array([[math.inf, 0.5], [0.5, math.inf]])
     # only off-diagonal tuples count: excess = 0 - 0.5
     assert max_dual_excess(u, recip) == pytest.approx(-0.5)
+
+
+def test_max_dual_excess_is_nan_once_an_entry_is():
+    u = np.zeros((2, 3))
+    recip = np.full((3, 3), 0.5)
+    assert max_dual_excess(u, recip) == -0.5
+    for a, b in [(math.nan, 0.0), (math.inf, -math.inf)]:
+        spoiled = u.copy()
+        spoiled[0, 2], spoiled[1, 1] = a, b
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(max_dual_excess(spoiled, recip))
+    # a NaN in the first block is not overwritten by a later finite one
+    big = np.zeros((3, 300))
+    big[0, 0] = math.nan
+    assert math.isnan(max_dual_excess(big, np.full((300, 300), 0.5)))
+
+
+def test_the_audit_imports_no_solver_module():
+    # verify_duality checks a plan and potentials from the measure and the
+    # cost alone: the audit module must not reach the solver, its symmetry
+    # reduction or the experiment harness
+    imported = set()
+    for node in ast.walk(ast.parse(Path(transport.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "mmot" if node.level == 1 else ""
+            module = ".".join(filter(None, [base, node.module]))
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    forbidden = {"mmot.lp", "mmot.symmetry", "mmot.harness"}
+    assert "mmot.cost" in imported
+    assert {".".join(m.split(".")[:2]) for m in imported} & forbidden == set()
 
 
 def test_verify_duality_on_a_solved_instance():
@@ -222,32 +252,29 @@ def test_diagonal_clearance_cases():
     swap = _two_point_plan(diagonal=False)
     # cells -1 and 2 are separated by two interior cells: distance 1
     assert diagonal_clearance(swap) == pytest.approx(1.0)
-    # restricting the window below the atoms leaves nothing to measure
-    assert diagonal_clearance(swap, window_radius=0.25) == math.inf
-    with pytest.raises(ValueError):
-        diagonal_clearance(swap, window_radius=2.0)
+    # a plan without atoms leaves nothing to measure
+    assert diagonal_clearance(TransportPlan(G1, 2, {})) == math.inf
 
 
-def _window_atoms(plan, R):
-    """(cells, weight, separation) of the plan's atoms inside the window,
-    in support order, by an explicit inf_dist loop over slot pairs."""
-    side, n = plan.grid.cell_side, plan.n_marginals
+def _atom_separations(plan):
+    """(cells, weight, separation) of the plan's atoms in support order,
+    by an explicit inf_dist loop over slot pairs."""
+    n = plan.n_marginals
     out = []
     for cells in plan.support():
-        if all((a - 1) * side >= -R - 1e-12 and a * side <= R + 1e-12 for c in cells for a in c):
-            sep = min(
-                inf_dist(cells[i], cells[j], plan.grid)
-                for i in range(n) for j in range(i + 1, n)
-            )
-            out.append((cells, plan.atoms[cells], sep))
+        sep = min(
+            inf_dist(cells[i], cells[j], plan.grid)
+            for i in range(n) for j in range(i + 1, n)
+        )
+        out.append((cells, plan.atoms[cells], sep))
     return out
 
 
-def _bound_parameters_loop(plan, model, R, m_fraction=0.1):
-    atoms = _window_atoms(plan, R)
-    best_cells, best_sep, window_mass = None, 0.0, 0.0
+def _bound_parameters_loop(plan, model, m_fraction=0.1):
+    atoms = _atom_separations(plan)
+    best_cells, best_sep, plan_mass = None, 0.0, 0.0
     for cells, w, sep in atoms:
-        window_mass += w
+        plan_mass += w
         if sep > best_sep:
             best_cells, best_sep = cells, sep
     if best_cells is None:
@@ -255,14 +282,14 @@ def _bound_parameters_loop(plan, model, R, m_fraction=0.1):
     alpha = min(sep for _, _, sep in atoms)
     r = (alpha if alpha > 0.0 else best_sep) / 4.0
     centers = [plan.grid.cell_center(c) for c in best_cells]
-    profiles = _ball_mass_profiles(plan_measure(plan), [np.array(c) for c in centers])
+    profiles = _ball_mass_profiles(plan, [np.array(c) for c in centers])
     while True:
         mass = 0.0
         for dist, cum in profiles:
             idx = np.searchsorted(dist, r, side="left")
             if idx > 0:
                 mass += float(cum[idx - 1])
-        if mass < m_fraction * window_mass / 4.0:
+        if mass < m_fraction * plan_mass / 4.0:
             return r, pointwise_cost(model, centers) / plan.n_marginals
         r *= 2.0**-0.125
 
@@ -281,18 +308,15 @@ def test_clearance_and_bound_parameters_match_inf_dist_loop(n, d):
             }
             w = rng.uniform(0.1, 1.0, size=len(tuples))
             plan = TransportPlan(grid, n, dict(zip(sorted(tuples), (w / w.sum()).tolist())))
-            # R = 0.5 leaves the outer cells, and the atoms on them, outside
-            for R in (1.0, 0.5):
-                atoms = _window_atoms(plan, R)
-                expected = min((sep for _, _, sep in atoms), default=math.inf)
-                assert diagonal_clearance(plan, R) == expected
-                try:
-                    ref = _bound_parameters_loop(plan, coulomb(n), R)
-                except NoOffDiagonalSupport:
-                    with pytest.raises(NoOffDiagonalSupport):
-                        bound_parameters(plan, plan_measure(plan), coulomb(n), R)
-                else:
-                    assert bound_parameters(plan, plan_measure(plan), coulomb(n), R) == ref
+            expected = min(sep for _, _, sep in _atom_separations(plan))
+            assert diagonal_clearance(plan) == expected
+            try:
+                ref = _bound_parameters_loop(plan, coulomb(n))
+            except NoOffDiagonalSupport:
+                with pytest.raises(NoOffDiagonalSupport):
+                    bound_parameters(plan, coulomb(n))
+            else:
+                assert bound_parameters(plan, coulomb(n)) == ref
     # cells the grid does not hold: out of range, or of the wrong dimension
     with pytest.raises(ValueError, match="not a valid index"):
         diagonal_clearance(TransportPlan(G1, 2, {((-1,), (3,)): 1.0}))
@@ -325,20 +349,19 @@ def test_bound_formulas_frozen_values():
 
 def test_bound_parameters_off_diagonal_plan():
     plan = _two_point_plan(diagonal=False)
-    mu = plan_measure(plan)
-    r, k = bound_parameters(plan, mu, coulomb(2), 1.0)
+    r, k = bound_parameters(plan, coulomb(2))
     assert 0.0 < r <= diagonal_clearance(plan) / 4.0 + 1e-12
     centers = [plan.grid.cell_center(c) for c in ((-1,), (2,))]
     assert k == pytest.approx(pointwise_cost(coulomb(2), centers) / 2.0)
     assert potential_bound(2, r, k) > 0.0
     with pytest.raises(ValueError):
-        bound_parameters(plan, mu, coulomb(2), 1.0, m_fraction=1.5)
+        bound_parameters(plan, coulomb(2), m_fraction=1.5)
 
 
 def test_bound_parameters_needs_off_diagonal_atom():
     plan = _two_point_plan(diagonal=True)
     with pytest.raises(NoOffDiagonalSupport):
-        bound_parameters(plan, plan_measure(plan), coulomb(2), 1.0)
+        bound_parameters(plan, coulomb(2))
 
 
 def test_swap_two_point_diagonal_becomes_antidiagonal():
@@ -514,12 +537,11 @@ def _ref_report(plan, pots, model, mode, positions):
         recip = pair_recip_matrix(model, grid, np.array(support))
     else:
         recip = pair_recip_matrix_points(model, np.array([point(c) for c in support]))
-    R = grid.window_halfwidth
-    alpha = min((sep for _, _, sep in _window_atoms(plan, R)), default=math.inf)
+    alpha = min((sep for _, _, sep in _atom_separations(plan)), default=math.inf)
     cells_all = sorted(set().union(*pots.values))
     pot_sup = max(abs(math.fsum(v[c] for v in pots.values) / n) for c in cells_all)
     try:
-        r, k = _bound_parameters_loop(plan, model, R)
+        r, k = _bound_parameters_loop(plan, model)
         bound = potential_bound(n, r, k)
         satisfied = pot_sup <= bound + 1e-12
     except NoOffDiagonalSupport:
