@@ -26,7 +26,7 @@ for cells, w in sorted(plan.atoms.items()):
     pts = tuple(mu.positions[c][0] for c in cells)
     print(f"  {pts!r} -> {w!r}")
 
-print(f"potential equal in every slot: {all(u == pots.values[0] for u in pots.values)}")
+print(f"potential equal in every slot: {all((u == pots.values[0]).all() for u in pots.values)}")
 print("potential per cell (exact: 0.25 each):")
 for c in mu.support():
     print(f"  x={mu.positions[c][0]:+.1f}  u={pots.value(0, c)!r}")

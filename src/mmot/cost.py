@@ -105,8 +105,8 @@ def pair_recip_matrix(model: CostModel, grid: GridSpec, coords: np.ndarray) -> n
 
     The solver assembles tuple costs from this matrix; the diagonal holds
     the finite reciprocal cell diameter.  The squared sup gaps are summed
-    one axis at a time in int64, the same integers pairwise_gap_sq gives
-    without its (m, m, d) temporaries.
+    one axis at a time in int64, the same integers an (m, m, d) broadcast
+    of the per-axis gaps gives, without its temporaries.
     """
     c = np.asarray(coords, dtype=np.int64)
     sup_sq = np.zeros((c.shape[0], c.shape[0]), dtype=np.int64)

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .errors import PointOutsideWindow
 from .tolerances import GRID_INTEGRAL
 
@@ -159,17 +157,3 @@ def children(cell: Cell) -> list[Cell]:
     """The 2**d cells one level finer that tile this cell, in lex order."""
     return [tuple(c) for c in product(*[(2 * a - 1, 2 * a) for a in cell])]
 
-
-def pairwise_gap_sq(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared extremal gaps, in lattice units, for every pair of cells.
-
-    coords is an (m, d) integer array of same-level cell indices.  Returns
-    (sup_sq, inf_sq) as (m, m) int64 arrays; multiply sqrt by the cell side
-    to recover distances.  Kept in integer arithmetic so cross-level
-    comparisons stay exact.
-    """
-    c = np.asarray(coords, dtype=np.int64)
-    delta = np.abs(c[:, None, :] - c[None, :, :])
-    sup = delta + 1
-    inf = np.maximum(delta - 1, 0)
-    return (sup * sup).sum(axis=2), (inf * inf).sum(axis=2)

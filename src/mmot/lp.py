@@ -700,13 +700,13 @@ def solve_transport(
     must be invariant under it, bitwise (only w is checked here).  The LP
     is then solved on cell orbits and classes of multisets; None means
     the trivial group.  Past _POOL_CAP classes, they are pooled by
-    column generation.  Returns (atoms, u_mat, value): the
-    optimal ordered plan, which spreads each basic class's mass evenly
-    over the distinct images of its cheapest multiset and each of those
-    over its N cyclic shifts, the potential u repeated as the N rows of
-    an (N, m) array, and the optimal value.  u is the minimum-norm
-    potential tight on the plan's classes when that one is feasible, and
-    the simplex's vertex dual otherwise (_min_norm_potential).
+    column generation.  Returns (atoms, u, value): the optimal ordered
+    plan, which spreads each basic class's mass evenly over the distinct
+    images of its cheapest multiset and each of those over its N cyclic
+    shifts, the potential u as an (m,) array, and the optimal value.
+    u is the minimum-norm potential tight on the plan's classes when that
+    one is feasible, and the simplex's vertex dual otherwise
+    (_min_norm_potential).
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -767,7 +767,7 @@ def solve_transport(
     ids = np.fromiter(primal, dtype=np.int64, count=len(primal))[np.argsort(lowest)]
     u = _min_norm_potential(prov, ids, y, price_tol, complete)[sym.cell_orbit]
     atoms = dict(zip(map(tuple, idx.tolist()), x.tolist()))
-    return atoms, np.tile(u, (n, 1)), obj
+    return atoms, u, obj
 
 
 def _min_norm_potential(
@@ -806,7 +806,8 @@ def _min_norm_potential(
     if complete:
         excess = prov.max_excess(sol)
     else:
-        excess = max_dual_excess(np.tile(sol[sym.cell_orbit], (prov.n, 1)), prov.recip)
+        u = sol[sym.cell_orbit]
+        excess = max_dual_excess(np.broadcast_to(u, (prov.n, u.size)), prov.recip)
     return y if excess > tol else sol
 
 
@@ -871,10 +872,11 @@ def solve_mmot(
 ) -> tuple[TransportPlan, PotentialVector, float]:
     """Solve the discrete multimarginal problem for one measure.
 
-    Returns the optimal plan, the dual potential u repeated in every
-    marginal slot, and the optimal value.  u is solve_transport's
-    potential: the minimum-norm one tight on the optimal classes when it
-    is feasible, the vertex dual otherwise.  In cell mode tuples are
+    Returns the optimal plan, the dual potential u on the support in every
+    marginal slot (a PotentialVector whose values broadcast one row), and
+    the optimal value.  u is solve_transport's potential: the minimum-norm
+    one tight on the optimal classes when it is feasible, the vertex dual
+    otherwise.  In cell mode tuples are
     priced by the finite pairwise-separable lower bound, so diagonal
     tuples are admissible; in pointwise mode coincident tuples cost
     infinity and are excluded, which requires every cell weight to stay
@@ -891,25 +893,24 @@ def solve_mmot(
         raise InsufficientSupport("measure has empty support")
     recip = _support_recip(model, measure.grid, support, cost_mode, measure.positions)
     w = np.array([measure.atoms[c] for c in support])
-    group = symmetry_group(np.array(support, dtype=np.int64), measure.grid, w, recip)
-    atoms_idx, u_mat, value = solve_transport(w, recip, n, feas_tol=feas_tol, group=group)
+    coords = np.array(support, dtype=np.int64)
+    group = symmetry_group(coords, measure.grid, w, recip)
+    atoms_idx, u, value = solve_transport(w, recip, n, feas_tol=feas_tol, group=group)
     idx = np.array(list(atoms_idx), dtype=np.int64).reshape(-1, n)
     x = np.fromiter(atoms_idx.values(), dtype=float, count=len(atoms_idx))
     negative = np.flatnonzero(x < -NEGATIVE_WEIGHT)
     if negative.size:
         raise NumericalBreakdown(f"negative plan weight {float(x[negative[0]])!r}")
     keep = x > DROP_WEIGHT
-    cells = np.array(support, dtype=np.int64)[idx[keep]]
-    plan = TransportPlan.from_arrays(measure.grid, n, cells, x[keep])
+    plan = TransportPlan.from_arrays(measure.grid, n, coords[idx[keep]], x[keep])
     plan.validate()
     marginal = np.bincount(idx[keep, 0], weights=x[keep], minlength=m)
     residual = float(np.max(np.abs(marginal - w)))
     if residual > MARGINAL_DRIFT:
         raise NumericalBreakdown(f"plan marginal drifts from the measure by {residual!r}")
-    values = tuple(dict(zip(support, u_mat[i].tolist())) for i in range(n))
-    potentials = PotentialVector(measure.grid, values)
+    potentials = PotentialVector(measure.grid, coords, np.broadcast_to(u, (n, m)))
     primal = plan_cost(plan, model, cost_mode=cost_mode, positions=measure.positions)
-    dual = math.fsum((u_mat * w).ravel().tolist())
+    dual = math.fsum((potentials.values * w).ravel().tolist())
     if abs(primal - dual) > gap_tol * (1.0 + abs(primal)):
         raise NumericalBreakdown(
             f"duality gap {abs(primal - dual)!r} exceeds tolerance at the "

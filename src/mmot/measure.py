@@ -108,10 +108,6 @@ class DiscreteMeasure:
             raise ValueError(f"weights sum to {total!r}, expected 1 within {NORMALIZED}")
 
 
-def support_cardinality(measure: DiscreteMeasure) -> int:
-    return len(measure.atoms)
-
-
 def _normalized_atoms(raw: dict[Cell, float]) -> dict[Cell, float]:
     total = math.fsum(raw.values())
     if total <= 0:
@@ -119,11 +115,6 @@ def _normalized_atoms(raw: dict[Cell, float]) -> dict[Cell, float]:
     if abs(total - 1.0) <= NORMALIZED:
         return {c: raw[c] for c in sorted(raw)}
     return {c: raw[c] / total for c in sorted(raw)}
-
-
-def renormalize(measure: DiscreteMeasure) -> DiscreteMeasure:
-    """Scale weights to sum to one.  Idempotent: near-one sums are kept."""
-    return DiscreteMeasure(measure.grid, _normalized_atoms(measure.atoms), measure.positions)
 
 
 def _ball_counts(ball: UniformBall, cell_pts: np.ndarray) -> np.ndarray:

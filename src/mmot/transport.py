@@ -2,8 +2,9 @@
 
 A TransportPlan couples N copies of one DiscreteMeasure: atoms are
 N-tuples of cells with positive weights, every coordinate marginal
-reproducing the measure.  A PotentialVector holds one dual function per
-marginal on the support cells.  verify_duality packages the full
+reproducing the measure.  A PotentialVector holds the dual function of
+every marginal on one set of cells, as arrays: the sorted cells and an
+(N, cells) table of values.  verify_duality packages the full
 primal-dual audit (objective gap, complementary slackness, an exhaustive
 dual feasibility rescan, diagonal clearance, and an a priori sup-norm
 bound on the symmetrized potential) into a DualityReport; a figure that a
@@ -273,10 +274,11 @@ def _pair_terms(sq: np.ndarray, scale: float, s: float) -> np.ndarray:
 
 
 def _fsum(values) -> float:
-    """math.fsum, but NaN where +inf meets -inf (math.fsum raises there)."""
+    """math.fsum, but NaN where +inf meets -inf or a partial sum overflows
+    (math.fsum raises there)."""
     try:
         return math.fsum(values)
-    except ValueError:
+    except (ValueError, OverflowError):
         return math.nan
 
 
@@ -319,47 +321,45 @@ def _check_cost_mode(cost_mode: str) -> None:
 
 @dataclass(frozen=True)
 class PotentialVector:
-    """One dual potential per marginal, defined on the support cells."""
+    """The dual potential of every marginal on one set of cells.
+
+    cells is an int64 (k, d) array of distinct cells in lexicographic
+    order and values a float64 (N, k) array whose row i holds slot i's
+    potential at those cells.  solve_mmot hands back one potential u for
+    every slot, as a read-only broadcast view of one row.
+    """
 
     grid: GridSpec
-    values: tuple[dict[Cell, float], ...]
+    cells: np.ndarray
+    values: np.ndarray
 
     @property
     def n_marginals(self) -> int:
-        return len(self.values)
+        return self.values.shape[0]
 
     def value(self, slot: int, cell: Cell) -> float:
-        try:
-            return self.values[slot][cell]
-        except KeyError as exc:
-            raise DimensionMismatch(f"potential {slot} has no value at cell {cell!r}") from exc
+        pos = int(self._positions(np.array([cell], dtype=np.int64))[0])
+        if pos < 0:
+            raise DimensionMismatch(f"potential {slot} has no value at cell {cell!r}")
+        return float(self.values[slot, pos])
 
-    def sup_norm(self) -> float:
-        return max(abs(v) for vals in self.values for v in vals.values())
+    def _positions(self, cells: np.ndarray) -> np.ndarray:
+        """The position in self.cells of every row of an int64 (q, d) cell
+        array, -1 for a cell it does not hold."""
+        k = self.cells.shape[0]
+        inv = _unique_rows(np.concatenate([self.cells, cells]))[1]
+        where = np.full(k + cells.shape[0], -1)
+        where[inv[:k]] = np.arange(k)
+        return where[inv[k:]]
 
 
 def _symmetric_sup(potentials: PotentialVector) -> float:
     """Sup norm of the slot average, the symmetric potential the a priori
-    bound is stated for: math.fsum of the N slot values over N at every
-    cell of any slot, even when the slots agree (for N = 3,
-    fsum([a, a, a]) / 3 need not be a); NaN or infinite when a value is.
-    DimensionMismatch when a slot lacks a cell another one holds."""
-    cells = sorted(set().union(*[set(v) for v in potentials.values]))
+    bound is stated for: _fsum of the N slot values over N at every cell,
+    even when the slots agree (for N = 3, fsum([a, a, a]) / 3 need not be
+    a); NaN or infinite when a value is."""
     n = potentials.n_marginals
-    table = np.array([_slot_values(potentials, i, cells) for i in range(n)]).reshape(n, -1)
-    return float(np.abs(_fsum_rows(table.T) / n).max())
-
-
-def _slot_values(potentials: PotentialVector, slot: int, cells) -> list[float]:
-    """The slot's potential at each of cells; DimensionMismatch for a cell
-    it does not hold."""
-    vals = potentials.values[slot]
-    try:
-        return [vals[c] for c in cells]
-    except KeyError as exc:
-        raise DimensionMismatch(
-            f"potential {slot} has no value at cell {exc.args[0]!r}"
-        ) from exc
+    return float(np.abs(_fsum_rows(potentials.values.T) / n).max())
 
 
 @dataclass(frozen=True)
@@ -512,15 +512,21 @@ def max_dual_excess(u_mat: np.ndarray, recip: np.ndarray) -> float:
 
 def _potential_table(potentials: PotentialVector, uniq: np.ndarray, needed) -> np.ndarray:
     """(N, cells) array of every slot's potential at the cells of uniq
-    that the (N, cells) mask needed marks for that slot; NaN elsewhere."""
-    table = np.full(needed.shape, np.nan)
-    for slot, mask in enumerate(needed):
-        table[slot, mask] = _slot_values(potentials, slot, map(tuple, uniq[mask].tolist()))
-    return table
+    that the (N, cells) mask needed marks for that slot; NaN elsewhere.
+    DimensionMismatch names the first slot lacking a cell it needs, and
+    the first such cell."""
+    pos = potentials._positions(uniq)
+    missing = needed & (pos < 0)
+    if missing.any():
+        slot = int(np.argmax(missing.any(axis=1)))
+        cell = tuple(uniq[np.argmax(missing[slot])].tolist())
+        raise DimensionMismatch(f"potential {slot} has no value at cell {cell!r}")
+    return np.where(needed, potentials.values[:, pos], np.nan)
 
 
-# +inf against -inf in the potentials gives NaN figures without a warning
-@np.errstate(invalid="ignore")
+# +inf against -inf in the potentials gives NaN figures, and sums past the
+# float range infinite ones, without a warning
+@np.errstate(invalid="ignore", over="ignore")
 def verify_duality(
     plan: TransportPlan,
     potentials: PotentialVector,
@@ -601,23 +607,6 @@ def diagonal_clearance(plan: TransportPlan) -> float:
     return plan.grid.cell_side * math.sqrt(int(gap_sq.min()))
 
 
-def product_plan(measure: DiscreteMeasure, n_marginals: int, max_atoms: int = 2_000_000) -> TransportPlan:
-    """The independent coupling: every support tuple, weight = product."""
-    support = measure.support()
-    m = len(support)
-    if m**n_marginals > max_atoms:
-        raise ValueError(
-            f"product plan would have {m**n_marginals} atoms, above the cap {max_atoms}"
-        )
-    atoms: dict[CellTuple, float] = {}
-    for combo in iter_product(support, repeat=n_marginals):
-        w = 1.0
-        for c in combo:
-            w *= measure.atoms[c]
-        atoms[combo] = w
-    return TransportPlan(measure.grid, n_marginals, atoms)
-
-
 def product_plan_cost(
     measure: DiscreteMeasure,
     model: CostModel,
@@ -639,14 +628,6 @@ def product_plan_cost(
     if np.isinf(recip).any() and cost_mode == "pointwise":
         return math.inf
     return float(pairs * w @ recip @ w)
-
-
-def lemma_upper_bound(n_marginals: int, radius: float, density_floor_log: float) -> float:
-    """Ceiling for admissible potentials built from an r-separated
-    configuration whose log-density term is at least the given floor:
-    N(N-1)/(2r) - N*l."""
-    n = n_marginals
-    return n * (n - 1) / (2.0 * radius) - n * density_floor_log
 
 
 def potential_bound(n_marginals: int, radius: float, level_constant: float) -> float:
@@ -985,8 +966,9 @@ def save_potentials(potentials: PotentialVector, path) -> None:
         f"dim={g.dimension} N={potentials.n_marginals}"
     ]
     line = " ".join(["%d"] * (g.dimension + 1)) + " %r"
-    for i, vals in enumerate(potentials.values):
-        lines += [line % (i + 1, *c, vals[c]) for c in sorted(vals)]
+    cells = potentials.cells.tolist()
+    for i, vals in enumerate(potentials.values.tolist()):
+        lines += [line % (i + 1, *c, v) for c, v in zip(cells, vals)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -994,7 +976,9 @@ def save_potentials(potentials: PotentialVector, path) -> None:
 def load_potentials(path) -> PotentialVector:
     """Read a mmot-potentials v1 file.  Lines are checked in file order,
     and a line's checks in the order length, numbers, marginal index,
-    window, duplicate entry; the first failure is raised."""
+    window, duplicate entry; the first failure is raised.  Every slot must
+    then hold the same cells: DimensionMismatch names the first slot
+    lacking a cell that another one holds, and its first such cell."""
     lines, grid, n = _read_body(path, _HEADER_POTENTIALS)
     d = grid.dimension
     rows, vals, malformed = _numeric_rows(
@@ -1015,10 +999,18 @@ def load_potentials(path) -> PotentialVector:
     if malformed is not None:
         raise malformed
     order = np.lexsort(rows.T[::-1])
-    rows, vals = rows[order], vals[order].tolist()
+    rows, vals = rows[order], vals[order]
+    cells = _unique_rows(rows[:, 1:])[0]
+    values = np.empty((n, cells.shape[0]))
     starts = np.searchsorted(rows[:, 0], np.arange(1, n + 2)).tolist()
-    values = tuple(
-        dict(zip(map(tuple, rows[lo:hi, 1:].tolist()), vals[lo:hi]))
-        for lo, hi in zip(starts[:-1], starts[1:])
-    )
-    return PotentialVector(grid, values)
+    for slot, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        # a slot's cells are distinct and sorted, so a complete slot holds
+        # exactly cells, and an incomplete one first departs from them at
+        # its first missing cell
+        held = rows[lo:hi, 1:]
+        if held.shape[0] < cells.shape[0]:
+            off = np.flatnonzero((held != cells[: held.shape[0]]).any(axis=1))
+            cell = tuple(cells[off[0] if off.size else held.shape[0]].tolist())
+            raise DimensionMismatch(f"potential {slot} has no value at cell {cell!r}")
+        values[slot] = vals[lo:hi]
+    return PotentialVector(grid, cells, values)

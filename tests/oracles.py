@@ -64,6 +64,21 @@ def box_inf_dist(cells_a, cells_b, level: int) -> float:
     return math.sqrt(total)
 
 
+def pairwise_gap_sq(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared extremal gaps, in lattice units, for every pair of cells.
+
+    coords is an (m, d) integer array of same-level cell indices.  Returns
+    (sup_sq, inf_sq) as (m, m) int64 arrays; multiply sqrt by the cell side
+    to recover distances.  Kept in integer arithmetic so cross-level
+    comparisons stay exact.
+    """
+    c = np.asarray(coords, dtype=np.int64)
+    delta = np.abs(c[:, None, :] - c[None, :, :])
+    sup = delta + 1
+    inf = np.maximum(delta - 1, 0)
+    return (sup * sup).sum(axis=2), (inf * inf).sum(axis=2)
+
+
 def pairwise_interaction(points, s: float) -> float:
     """Sum of |x_i - x_j|^(-s) over unordered pairs; inf on coincidence."""
     pts = [np.asarray(p, dtype=float) for p in points]

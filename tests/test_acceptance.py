@@ -139,7 +139,7 @@ def test_criterion_2_closed_form_instances():
     mu = discretize(two, grid)
     model = coulomb(2)
     plan, pots, value = solve_mmot(mu, model, cost_mode="pointwise")
-    symmetric = all(slot == pots.values[0] for slot in pots.values)
+    symmetric = all(np.array_equal(slot, pots.values[0]) for slot in pots.values)
     sym_vals = [pots.value(0, c) for c in mu.support()]
 
     pts = [mu.positions[c] for c in mu.support()]

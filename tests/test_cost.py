@@ -16,9 +16,9 @@ from mmot.cost import (
     power_law,
     tuple_costs,
 )
-from mmot.grid import GridSpec, cell_of, children, pairwise_gap_sq
+from mmot.grid import GridSpec, cell_of, children
 
-from oracles import pairwise_interaction
+from oracles import pairwise_gap_sq, pairwise_interaction
 
 
 def is_permutation_invariant_check(model, cells, grid) -> bool:

@@ -11,12 +11,11 @@ from mmot.grid import (
     cell_of,
     children,
     inf_dist,
-    pairwise_gap_sq,
     parent,
     sup_dist,
 )
 
-from oracles import box_inf_dist, box_sup_dist, cell_index_scalar
+from oracles import box_inf_dist, box_sup_dist, cell_index_scalar, pairwise_gap_sq
 
 
 def test_gridspec_validation():

@@ -49,9 +49,9 @@ def test_duals_are_complementary_on_random_instances():
         w /= w.sum()
         recip = rng.uniform(0.1, 2.0, size=(m, m))
         recip = 0.5 * (recip + recip.T)
-        atoms, u_mat, _ = solve_transport(w, recip, n)
+        atoms, u, _ = solve_transport(w, recip, n)
         red = {
-            t: _pair_sum(recip, t) - math.fsum(u_mat[0, list(t)])
+            t: _pair_sum(recip, t) - math.fsum(u[list(t)])
             for t in itertools.combinations_with_replacement(range(m), n)
         }
         assert min(red.values()) >= -1e-8
@@ -63,13 +63,13 @@ def test_duals_are_complementary_on_random_instances():
 def test_solve_transport_two_point_pair_matrix():
     # two equal weights, reciprocal-distance pair cost with distance 2
     recip = np.array([[math.inf, 0.5], [0.5, math.inf]])
-    atoms, u_mat, value = solve_transport(np.array([0.5, 0.5]), recip, 2)
+    atoms, u, value = solve_transport(np.array([0.5, 0.5]), recip, 2)
     assert value == pytest.approx(0.5, abs=1e-12)
     assert atoms == {
         (0, 1): pytest.approx(0.5, abs=1e-12),
         (1, 0): pytest.approx(0.5, abs=1e-12),
     }
-    assert u_mat.shape == (2, 2)
+    assert u.shape == (2,)
 
 
 def test_solve_transport_matches_vertex_enumeration():
@@ -122,7 +122,7 @@ def test_solve_transport_marginals_reproduced():
     w /= w.sum()
     recip = rng.uniform(0.1, 1.0, size=(m, m))
     recip = 0.5 * (recip + recip.T)
-    atoms, u_mat, value = solve_transport(w, recip, n)
+    atoms, u, value = solve_transport(w, recip, n)
     for slot in range(n):
         marg = np.zeros(m)
         for t, x in atoms.items():
@@ -133,7 +133,7 @@ def test_solve_transport_marginals_reproduced():
         cost_t = math.fsum(
             recip[t[i], t[j]] for i in range(n) for j in range(i + 1, n)
         )
-        spread = math.fsum(u_mat[i, t[i]] for i in range(n))
+        spread = math.fsum(u[t[i]] for i in range(n))
         assert cost_t - spread >= -1e-8
         if x > 1e-9:
             assert abs(cost_t - spread) <= 1e-7
@@ -198,10 +198,9 @@ def test_solve_transport_symmetric_potential_and_cyclic_plan():
         recip = 0.5 * (recip + recip.T)
         if injective:
             np.fill_diagonal(recip, np.inf)
-        atoms, u_mat, value = solve_transport(w, recip, n)
-        assert u_mat.shape == (n, m)
-        assert all(np.array_equal(u_mat[i], u_mat[0]) for i in range(n))
-        assert value == pytest.approx(n * float(u_mat[0] @ w), abs=1e-9)
+        atoms, u, value = solve_transport(w, recip, n)
+        assert u.shape == (m,)
+        assert value == pytest.approx(n * float(u @ w), abs=1e-9)
         # each basic multiset spreads over at most N orderings, and a basic
         # solution has at most one positive multiset per cell
         groups: dict[tuple[int, ...], int] = {}
@@ -550,7 +549,7 @@ def test_weight_inside_the_guard_above_one_over_n_is_solved(n, excess):
     pts = np.sort(rng.uniform(0.0, 1.0, size=m))
     with np.errstate(divide="ignore"):
         recip = 1.0 / np.abs(pts[:, None] - pts[None, :])
-    (atoms, u_mat, value), start = _start_of(lambda: solve_transport(w, recip, n))
+    (atoms, u, value), start = _start_of(lambda: solve_transport(w, recip, n))
     level = np.linalg.solve(start.B, start.b)
     assert level.min() >= -1e-13
     assert level[start.basis < 0].sum() <= 2 * n * n * excess
@@ -561,7 +560,7 @@ def test_weight_inside_the_guard_above_one_over_n_is_solved(n, excess):
             assert len(set(t)) == n
             marg[t[slot]] += x
         assert np.abs(marg - w).max() <= 1e-9
-    assert value == pytest.approx(n * float(u_mat[0] @ w), rel=1e-9)
+    assert value == pytest.approx(n * float(u @ w), rel=1e-9)
 
 
 def test_degenerate_pool_leaves_blands_rule_between_episodes(monkeypatch):
@@ -643,11 +642,12 @@ def test_solve_mmot_reports_the_potential_of_solve_transport():
     w = np.array([mu.atoms[c] for c in support])
     recip = _support_recip(coulomb(3), mu.grid, support, "cell", None)
     group = symmetry_group(np.array(support), mu.grid, w, recip)
-    _, u_mat, _ = solve_transport(w, recip, 3, group=group)
+    _, u, _ = solve_transport(w, recip, 3, group=group)
     _, pots, _ = solve_mmot(mu, coulomb(3))
-    assert [[slot[c] for c in support] for slot in pots.values] == u_mat.tolist()
+    assert pots.cells.tolist() == [list(c) for c in support]
+    assert pots.values.tolist() == [u.tolist()] * 3
     # the minimum-norm potential is orbit-constant, unlike most vertex duals
-    assert (u_mat[0][group] == u_mat[0]).all()
+    assert (u[group] == u).all()
 
 
 @st.composite
@@ -681,11 +681,11 @@ def test_returned_potential_is_feasible_and_tight(instance, capped):
     with pytest.MonkeyPatch.context() as mp:
         if capped:
             mp.setattr(lp, "_POOL_CAP", 0)
-        atoms, u_mat, _ = solve_transport(w, recip, n, group=perms)
+        atoms, u, _ = solve_transport(w, recip, n, group=perms)
     tol = FEAS_TOL * lp._cost_scale(recip, n)
-    assert max_dual_excess(u_mat, recip) <= tol
+    assert max_dual_excess(np.broadcast_to(u, (n, u.size)), recip) <= tol
     for t, x in atoms.items():
-        assert abs(_pair_sum(recip, t) - math.fsum(u_mat[i, t[i]] for i in range(n))) <= tol
+        assert abs(_pair_sum(recip, t) - math.fsum(u[t[i]] for i in range(n))) <= tol
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,16 +14,13 @@ from mmot.errors import (
 )
 from mmot.grid import GridSpec, cell_of
 from mmot.measure import (
-    DiscreteMeasure,
     FiniteAtomic,
     TruncatedGaussian,
     UniformBall,
     _smooth_cell_weights,
     discretize,
     load_measure,
-    renormalize,
     save_measure,
-    support_cardinality,
 )
 
 
@@ -32,7 +29,7 @@ def test_atomic_discretization_places_points_exactly():
     rho = FiniteAtomic(points=((-0.6,), (0.1,), (0.9,)), weights=(0.25, 0.5, 0.25))
     mu = discretize(rho, g)
     mu.validate()
-    assert support_cardinality(mu) == 3
+    assert len(mu.atoms) == 3
     for pt, w in zip(rho.points, rho.weights):
         cell = cell_of(pt, g)
         assert mu.atoms[cell] == pytest.approx(w, abs=1e-15)
@@ -180,17 +177,6 @@ def test_zero_mass_raises():
     g = GridSpec(level=1, window_halfwidth=1.0, dimension=1)
     with pytest.raises(ZeroMass):
         discretize(UniformBall(center=(0.0,), radius=0.0), g)
-
-
-def test_renormalize_idempotent():
-    g = GridSpec(level=1, window_halfwidth=1.0, dimension=1)
-    mu = DiscreteMeasure(g, {(1,): 0.5, (2,): 0.5})
-    again = renormalize(mu)
-    assert again.atoms == mu.atoms
-    off = DiscreteMeasure(g, {(1,): 1.0, (2,): 3.0})
-    fixed = renormalize(off)
-    assert fixed.atoms[(1,)] == pytest.approx(0.25)
-    assert fixed.total_mass() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_measure_file_roundtrip(tmp_path):

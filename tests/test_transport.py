@@ -37,13 +37,11 @@ from mmot.transport import (
     TransportPlan,
     bound_parameters,
     diagonal_clearance,
-    lemma_upper_bound,
     load_plan,
     load_potentials,
     max_dual_excess,
     plan_cost,
     potential_bound,
-    product_plan,
     product_plan_cost,
     save_plan,
     save_potentials,
@@ -53,6 +51,18 @@ from mmot.transport import (
 from mmot.transport import _ball_mass_profiles
 
 G1 = GridSpec(level=1, window_halfwidth=1.0, dimension=1)
+
+
+def _potentials(grid, slots) -> PotentialVector:
+    """The PotentialVector of one {cell: value} dict per slot, all over the
+    same cells."""
+    cells = sorted(slots[0])
+    assert all(sorted(slot) == cells for slot in slots)
+    return PotentialVector(
+        grid,
+        np.array(cells, dtype=np.int64).reshape(len(cells), grid.dimension),
+        np.array([[slot[c] for c in cells] for slot in slots]).reshape(len(slots), len(cells)),
+    )
 
 
 def _two_point_plan(diagonal: bool) -> TransportPlan:
@@ -104,31 +114,32 @@ def test_plan_cost_modes():
 
 
 def test_potential_vector_access():
-    pots = PotentialVector(G1, ({(-1,): 0.25, (2,): 0.3}, {(-1,): -0.1, (2,): 0.0}))
+    pots = _potentials(G1, ({(-1,): 0.25, (2,): 0.3}, {(-1,): -0.1, (2,): 0.0}))
     assert pots.n_marginals == 2
     assert pots.value(0, (-1,)) == 0.25
+    assert pots.value(1, (2,)) == 0.0
     with pytest.raises(DimensionMismatch):
         pots.value(1, (1,))
-    assert pots.sup_norm() == 0.3
 
 
-def test_potential_sup_is_that_of_the_slot_average():
+def test_potential_sup_is_that_of_the_slot_average(tmp_path):
     # slots 0.7 / -0.2 and 0.1 / 0.4 average to 0.25 at both cells, while
     # every slot value but -0.2 is larger in magnitude
-    pots = PotentialVector(
+    pots = _potentials(
         G1, ({(-1,): 0.7, (2,): 0.1}, {(-1,): -0.2, (2,): 0.4})
     )
     plan = _two_point_plan(diagonal=False)
     report = verify_duality(plan, pots, coulomb(2))
     assert report.potential_sup == pytest.approx(0.25)
-    assert pots.sup_norm() == 0.7
-    # the average runs over every cell of any slot: one held by slot 1
-    # alone, off the plan, is a mismatch
-    lopsided = PotentialVector(
-        G1, ({(-1,): 0.25, (2,): 0.25}, {(-1,): 0.25, (1,): 0.0, (2,): 0.25})
+    # the average runs over every cell of any slot: a file whose slot 0
+    # lacks a cell that slot 1 holds, off the plan, is a mismatch
+    lopsided = tmp_path / "lopsided.potentials"
+    lopsided.write_text(
+        "mmot-potentials v1 level=1 halfwidth=1.0 dim=1 N=2\n"
+        "1 -1 0.25\n1 2 0.25\n2 -1 0.25\n2 1 0.0\n2 2 0.25\n"
     )
-    with pytest.raises(DimensionMismatch):
-        verify_duality(plan, lopsided, coulomb(2))
+    with pytest.raises(DimensionMismatch, match=r"potential 0 has no value at cell \(1,\)"):
+        load_potentials(lopsided)
 
 
 def test_max_dual_excess_matches_bruteforce():
@@ -222,11 +233,9 @@ def test_verify_duality_flags_a_potential_raised_at_one_cell(pick, delta):
     # every support cell lies in a tight atom of the plan, which the raised
     # potential overprices by at least delta
     plan, pots = _solved_ball()
-    support = sorted(pots.values[0])
-    cell = support[pick % len(support)]
-    raised = PotentialVector(
-        pots.grid, tuple({**slot, cell: slot[cell] + delta} for slot in pots.values)
-    )
+    values = pots.values.copy()
+    values[:, pick % values.shape[1]] += delta
+    raised = PotentialVector(pots.grid, pots.cells, values)
     assert verify_duality(plan, pots, coulomb(3)).max_dual_violation <= 1e-9
     report = verify_duality(plan, raised, coulomb(3))
     assert report.max_dual_violation >= delta - 1e-12
@@ -235,15 +244,19 @@ def test_verify_duality_flags_a_potential_raised_at_one_cell(pick, delta):
 def test_verify_duality_shape_checks():
     plan = _two_point_plan(diagonal=False)
     other = GridSpec(level=2, window_halfwidth=1.0, dimension=1)
-    pots_wrong_grid = PotentialVector(other, ({}, {}))
+    pots_wrong_grid = _potentials(other, ({}, {}))
     with pytest.raises(DimensionMismatch):
         verify_duality(plan, pots_wrong_grid, coulomb(2))
-    pots3 = PotentialVector(G1, ({}, {}, {}))
+    pots3 = _potentials(G1, ({}, {}, {}))
     with pytest.raises(DimensionMismatch):
         verify_duality(plan, pots3, coulomb(2))
-    pots2 = PotentialVector(G1, ({(-1,): 0.0, (2,): 0.0}, {(-1,): 0.0, (2,): 0.0}))
+    pots2 = _potentials(G1, ({(-1,): 0.0, (2,): 0.0}, {(-1,): 0.0, (2,): 0.0}))
     with pytest.raises(DimensionMismatch):
         verify_duality(plan, pots2, coulomb(3))
+    # potentials without a cell of the plan name the first slot and cell
+    short = _potentials(G1, ({(-1,): 0.0}, {(-1,): 0.0}))
+    with pytest.raises(DimensionMismatch, match=r"potential 0 has no value at cell \(2,\)"):
+        verify_duality(plan, short, coulomb(2))
 
 
 def test_diagonal_clearance_cases():
@@ -324,6 +337,23 @@ def test_clearance_and_bound_parameters_match_inf_dist_loop(n, d):
         diagonal_clearance(TransportPlan(G1, 2, {((-1, 1), (2, 1)): 1.0}))
 
 
+def product_plan(measure: DiscreteMeasure, n_marginals: int, max_atoms: int = 2_000_000) -> TransportPlan:
+    """The independent coupling: every support tuple, weight = product."""
+    support = measure.support()
+    m = len(support)
+    if m**n_marginals > max_atoms:
+        raise ValueError(
+            f"product plan would have {m**n_marginals} atoms, above the cap {max_atoms}"
+        )
+    atoms = {}
+    for combo in itertools.product(support, repeat=n_marginals):
+        w = 1.0
+        for c in combo:
+            w *= measure.atoms[c]
+        atoms[combo] = w
+    return TransportPlan(measure.grid, n_marginals, atoms)
+
+
 def test_product_plan_and_its_cost():
     g = GridSpec(level=1, window_halfwidth=1.0, dimension=1)
     mu = DiscreteMeasure(g, {(-1,): 0.25, (1,): 0.25, (2,): 0.5})
@@ -340,8 +370,6 @@ def test_product_plan_and_its_cost():
 
 
 def test_bound_formulas_frozen_values():
-    assert lemma_upper_bound(2, 1.0, 0.0) == 1.0
-    assert lemma_upper_bound(3, 0.5, -1.0) == 9.0
     assert potential_bound(2, 1.0, 0.0) == 4.0
     assert potential_bound(2, 1.0, 1.0) == 3.0
     assert potential_bound(3, 0.5, 0.0) == 48.0
@@ -454,14 +482,24 @@ def test_plan_file_errors(tmp_path):
 
 
 def test_potentials_file_roundtrip(tmp_path):
-    pots = PotentialVector(
+    pots = _potentials(
         G1, ({(-1,): 0.25, (2,): -0.5}, {(-1,): 0.0, (2,): 1.25e-3})
     )
     path = tmp_path / "u.potentials"
     save_potentials(pots, path)
     back = load_potentials(path)
     assert back.grid == pots.grid
-    assert back.values == pots.values
+    assert back.cells.dtype == np.int64 and back.cells.tolist() == pots.cells.tolist()
+    assert back.values.tolist() == pots.values.tolist()
+    # a file with its lines in any order loads to the same arrays and
+    # saves back to the canonical bytes
+    canonical = path.read_text()
+    head, *body = canonical.splitlines()
+    shuffled = tmp_path / "shuffled.potentials"
+    shuffled.write_text("\n".join([head] + body[::-1]) + "\n")
+    again = tmp_path / "again.potentials"
+    save_potentials(load_potentials(shuffled), again)
+    assert again.read_text() == canonical
 
 
 def test_potentials_file_errors(tmp_path):
@@ -508,6 +546,7 @@ def _ref_slab_excess(u_mat, recip):
 def _ref_report(plan, pots, model, mode, positions):
     """Every DualityReport number, atom by atom."""
     grid, n = plan.grid, plan.n_marginals
+    slots = [dict(zip(map(tuple, pots.cells.tolist()), row)) for row in pots.values.tolist()]
 
     def point(c):
         return positions[c] if positions is not None and c in positions else grid.cell_center(c)
@@ -526,20 +565,20 @@ def _ref_report(plan, pots, model, mode, positions):
     for cells, w, _ in priced:
         weights[cells[0]] = weights.get(cells[0], 0.0) + w
     support = sorted(weights)
-    dual = math.fsum(pots.values[i][c] * weights[c] for i in range(n) for c in support)
+    dual = math.fsum(slots[i][c] * weights[c] for i in range(n) for c in support)
     slack = 0.0
     for cells, _, c in priced:
-        u_sum = math.fsum(pots.values[i][cells[i]] for i in range(n))
+        u_sum = math.fsum(slots[i][cells[i]] for i in range(n))
         if not math.isinf(c):
             slack = max(slack, c - u_sum)
-    u_mat = np.array([[pots.values[i][c] for c in support] for i in range(n)])
+    u_mat = np.array([[slots[i][c] for c in support] for i in range(n)])
     if mode == "cell":
         recip = pair_recip_matrix(model, grid, np.array(support))
     else:
         recip = pair_recip_matrix_points(model, np.array([point(c) for c in support]))
     alpha = min((sep for _, _, sep in _atom_separations(plan)), default=math.inf)
-    cells_all = sorted(set().union(*pots.values))
-    pot_sup = max(abs(math.fsum(v[c] for v in pots.values) / n) for c in cells_all)
+    cells_all = sorted(set().union(*slots))
+    pot_sup = max(abs(math.fsum(v[c] for v in slots) / n) for c in cells_all)
     try:
         r, k = _bound_parameters_loop(plan, model)
         bound = potential_bound(n, r, k)
@@ -592,7 +631,7 @@ def test_array_view_matches_per_atom_reference(n, d):
         grid = GridSpec(level=1 + trial % 2, window_halfwidth=1.0, dimension=d)
         plan = _random_plan(rng, grid, n, apart=trial >= 4)
         cells = sorted(set().union(*[set(t) for t in plan.atoms]))
-        pots = PotentialVector(
+        pots = _potentials(
             grid, tuple({c: float(rng.normal()) for c in cells} for _ in range(n))
         )
         side = grid.cell_side
